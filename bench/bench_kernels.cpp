@@ -119,9 +119,10 @@ void BM_StripesScattered(benchmark::State& state) {
 }
 BENCHMARK(BM_StripesScattered);
 
-// Row-run kernel vs block-granular kernel on the same SampleAttention plan
+// Cell-exact sparse kernel vs block-granular kernel on the same
+// SampleAttention plan
 // (the hardware-shaped execution ablation).
-void BM_SamplePlanRowRunKernel(benchmark::State& state) {
+void BM_SamplePlanSparseFlashKernel(benchmark::State& state) {
   const AttentionInput in = bench_input(2048);
   const SamplePlan plan = plan_sample_attention(in, SampleAttentionConfig{});
   Matrix out;
@@ -131,7 +132,7 @@ void BM_SamplePlanRowRunKernel(benchmark::State& state) {
   }
   state.counters["density"] = plan.density;
 }
-BENCHMARK(BM_SamplePlanRowRunKernel);
+BENCHMARK(BM_SamplePlanSparseFlashKernel);
 
 void BM_SamplePlanBlockKernel(benchmark::State& state) {
   const AttentionInput in = bench_input(2048);

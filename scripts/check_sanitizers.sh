@@ -4,12 +4,13 @@
 #   1. ASan+UBSan: builds a side tree with -DSATTN_SANITIZE=address,undefined
 #      and runs the full ctest suite; any report fails the run.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
-#      the concurrency-heavy binaries — obs_test, scheduler_test,
+#      the concurrency-heavy binaries — core_test, obs_test, scheduler_test,
 #      accounting_test, engine_test, chaos_engine_test, telemetry_test,
-#      audit_test, and kv_page_test — since the span collector, metrics
-#      registry, resource accountant, serving-engine intake, telemetry
-#      rings/publisher, and the KV page arena are written from concurrent
-#      threads.
+#      audit_test, kv_page_test, sparse_kernel_test and block_sparse_test —
+#      since the thread pool's completion handshake, the span collector,
+#      metrics registry, resource accountant, serving-engine intake,
+#      telemetry rings/publisher, the KV page arena and the tiled sparse
+#      kernels' per-tile state are written from concurrent threads.
 #
 # Usage: check_sanitizers.sh [repo-root] [build-dir] [tsan-build-dir]
 # Opt-in ctest entry: configure with -DSATTN_SANITIZER_CTEST=ON.
@@ -74,12 +75,16 @@ cmake -B "$build_tsan" -S "$root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSATTN_SANITIZE=thread >/dev/null
 cmake --build "$build_tsan" -j "$(nproc)" \
-  --target obs_test --target scheduler_test --target accounting_test \
+  --target core_test --target obs_test --target scheduler_test --target accounting_test \
   --target engine_test --target chaos_engine_test --target telemetry_test \
-  --target audit_test --target kv_page_test >/dev/null
+  --target audit_test --target kv_page_test \
+  --target sparse_kernel_test --target block_sparse_test >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
+# Thread pool: oversubscribed pools running tiny loops from concurrent
+# callers race each parallel_for's completion handshake against its return.
+"$build_tsan/tests/core_test" --gtest_filter='ThreadPool.*'
 # The disabled-mode overhead smoke test is a wall-time comparison; it skips
 # itself under sanitizers, but filter it anyway so the TSan log stays about
 # races, not timing.
@@ -108,5 +113,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # against the arena mutex; ConcurrentAllocReleaseIsClean is the dedicated
 # hammer (src/runtime/kv_page.h, "Thread safety").
 "$build_tsan/tests/kv_page_test"
+# Tiled sparse kernels: pool workers each own one query tile's m/l/acc state
+# and fold their evals/metadata tallies into shared atomics, and write
+# disjoint output rows (attention/sparse_flash_attention.h, block_sparse.h).
+"$build_tsan/tests/sparse_kernel_test"
+"$build_tsan/tests/block_sparse_test"
 
-echo "sanitizer suite passed: thread (obs_test, scheduler_test, accounting_test, engine_test, chaos_engine_test, telemetry_test, audit_test, kv_page_test)"
+echo "sanitizer suite passed: thread (core_test ThreadPool.*, obs_test, scheduler_test, accounting_test, engine_test, chaos_engine_test, telemetry_test, audit_test, kv_page_test, sparse_kernel_test, block_sparse_test)"

@@ -4,11 +4,11 @@
 // kernel walks KV tiles of TILE_K keys per query tile, maintaining a running
 // row max m_i and normalizer l_i, and rescales the partial output when the
 // max shifts (Dao et al., 2022, Alg. 1). The inner machinery — the
-// OnlineSoftmaxRow state, the single-row run absorb, and the
-// register-blocked multi-row tile absorb — lives in attention/microkernel.h
-// (re-exported here) on top of the runtime-dispatched SIMD primitives of
-// core/simd.h. The same machinery is reused by the sparse kernel in
-// sparse_flash_attention.h, which simply visits fewer KV tiles.
+// OnlineSoftmaxRow state and the register-blocked multi-row tile absorb —
+// lives in attention/microkernel.h (re-exported here) on top of the
+// runtime-dispatched SIMD primitives of core/simd.h. The sparse kernel in
+// sparse_flash_attention.h uses the same tiling and absorb, visiting only
+// the mask's cells of each tile.
 #pragma once
 
 #include <limits>

@@ -31,6 +31,17 @@ bool runs_contain(const std::vector<ColumnRun>& runs, Index j) {
   return false;
 }
 
+// Clips band offset runs (StructuredMask::band_offset_runs) to the key
+// runs of a row with causal limit lim >= 0, ascending: largest offsets first.
+void band_runs_at(const std::vector<ColumnRun>& offsets, Index lim, std::vector<ColumnRun>& out) {
+  out.clear();
+  for (auto o = offsets.rbegin(); o != offsets.rend(); ++o) {
+    const Index lo = std::max<Index>(0, lim - o->hi + 1);
+    const Index hi = lim - o->lo + 1;
+    if (hi > lo) out.push_back({lo, hi});
+  }
+}
+
 }  // namespace
 
 void StructuredMask::set_stripe_columns(std::vector<Index> cols) {
@@ -74,19 +85,19 @@ void StructuredMask::add_diagonal_band(DiagonalBand band) {
   bands_ = std::move(merged);
 }
 
+std::vector<ColumnRun> StructuredMask::band_offset_runs() const {
+  std::vector<ColumnRun> runs;
+  if (window_ > 0) runs.push_back({0, window_});
+  for (const DiagonalBand& b : bands_) runs.push_back({b.offset, b.offset + b.width});
+  return normalize_runs(std::move(runs));
+}
+
 std::vector<ColumnRun> StructuredMask::band_runs_for_row(Index i) const {
   const Index lim = causal_limit(i, sq_, sk_);
   std::vector<ColumnRun> runs;
   if (lim < 0) return runs;
-  if (window_ > 0) {
-    runs.push_back({std::max<Index>(0, lim - window_ + 1), lim + 1});
-  }
-  for (const DiagonalBand& b : bands_) {
-    const Index hi = std::min(lim + 1, lim - b.offset + 1);
-    const Index lo = std::max<Index>(0, lim - b.offset - b.width + 1);
-    if (hi > lo) runs.push_back({lo, hi});
-  }
-  return normalize_runs(std::move(runs));
+  band_runs_at(band_offset_runs(), lim, runs);
+  return runs;
 }
 
 bool StructuredMask::contains(Index i, Index j) const {
@@ -104,20 +115,20 @@ bool StructuredMask::contains(Index i, Index j) const {
 double StructuredMask::density() const {
   const double denom = causal_pairs(sq_, sk_);
   if (denom <= 0.0) return 0.0;
+  const std::vector<ColumnRun> offsets = band_offset_runs();
+  const auto cols_below = [this](Index j) {
+    return static_cast<Index>(std::lower_bound(stripe_cols_.begin(), stripe_cols_.end(), j) -
+                              stripe_cols_.begin());
+  };
   double kept = 0.0;
+  std::vector<ColumnRun> bands;
   for (Index i = 0; i < sq_; ++i) {
     const Index lim = causal_limit(i, sq_, sk_);
     if (lim < 0) continue;
-    const std::vector<ColumnRun> bands = band_runs_for_row(i);
-    Index row = 0;
-    for (const ColumnRun& r : bands) row += r.width();
-    // Stripes not already inside a band.
-    for (const ColumnRun& run : stripe_runs_) {
-      const Index hi = std::min(run.hi, lim + 1);
-      for (Index j = run.lo; j < hi; ++j) {
-        if (!runs_contain(bands, j)) ++row;
-      }
-    }
+    band_runs_at(offsets, lim, bands);
+    // Band cells, plus the causal stripe columns outside every band.
+    Index row = cols_below(lim + 1);
+    for (const ColumnRun& r : bands) row += r.width() - (cols_below(r.hi) - cols_below(r.lo));
     // Blocks: cells not covered by bands or stripes.
     for (const Block& b : blocks_) {
       if (i < b.q_lo || i >= b.q_hi) continue;

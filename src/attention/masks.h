@@ -76,6 +76,11 @@ class StructuredMask {
   void add_diagonal_band(DiagonalBand band);
   const std::vector<DiagonalBand>& diagonal_bands() const { return bands_; }
 
+  // The window plus all diagonal bands as offsets below the causal limit:
+  // row i's bands cover key j iff lim - j lies in one of these half-open
+  // runs. Row-independent, sorted ascending, merged (disjoint, non-adjacent).
+  std::vector<ColumnRun> band_offset_runs() const;
+
   // Key intervals covered by the window plus all diagonal bands for query
   // row i, clipped to [0, lim], sorted ascending and disjoint.
   std::vector<ColumnRun> band_runs_for_row(Index i) const;
@@ -84,7 +89,8 @@ class StructuredMask {
   bool contains(Index i, Index j) const;
 
   // Fraction of causal (i, j) pairs covered by the mask, computed exactly
-  // from the structure in O(stripes + blocks) per row.
+  // from the structure in O(bands + log stripes) per row, plus a cell loop
+  // over the blocks that contain the row.
   double density() const;
 
   // Dense 0/1 materialization for tests and visualization (quadratic!).

@@ -9,9 +9,11 @@ namespace sattn {
 namespace {
 
 // Single-row run absorb over raw state: two passes (score + max, then
-// weight + accumulate) with one rescale for the whole run. The tiled and
-// row-granular kernels both bottom out here for ragged work.
-void absorb_run_row(const simd::Ops& ops, const float* qi, float& m, double& l, float* acc,
+// weight + accumulate) with one rescale for the whole run. The ragged
+// tails of the blocked absorb bottom out here. Kept out of line: with
+// absorb_key_tile as its only caller the compiler inlines it there, which
+// slows the blocked loop itself (dense flash ~10% on GCC 12 / AVX2).
+[[gnu::noinline]] void absorb_run_row(const simd::Ops& ops, const float* qi, float& m, double& l, float* acc,
                     Index d, const mk::KvView& kv, float scale, Index lo, Index hi,
                     std::vector<float>& logits) {
   if (hi <= lo) return;
@@ -69,12 +71,6 @@ void OnlineSoftmaxRow::finalize(std::span<float> out_row) const {
   }
   const auto inv = static_cast<float>(1.0 / l);
   for (std::size_t t = 0; t < acc.size(); ++t) out_row[t] = acc[t] * inv;
-}
-
-void absorb_key_run(OnlineSoftmaxRow& st, const mk::KvView& kv, std::span<const float> qi,
-                    float scale, Index lo, Index hi, std::vector<float>& logits) {
-  absorb_run_row(simd::ops(), qi.data(), st.m, st.l, st.acc.data(),
-                 static_cast<Index>(st.acc.size()), kv, scale, lo, hi, logits);
 }
 
 namespace mk {

@@ -1,9 +1,9 @@
 // Register-blocked attention micro-kernels over the SIMD primitive layer.
 //
-// The tiled kernels (flash_attention, block_sparse) and the row-granular
-// sparse kernels all reduce to the same two inner steps: score a run of
-// keys against one or more query rows, then fold the run into each row's
-// online-softmax state with a single rescale (Dao et al., 2022, Alg. 1).
+// The tiled kernels (flash_attention, block_sparse, sparse_flash) all
+// reduce to the same two inner steps: score a run of keys against one or
+// more query rows, then fold the run into each row's online-softmax state
+// with a single rescale (Dao et al., 2022, Alg. 1).
 // This header owns that machinery:
 //
 //   * OnlineSoftmaxRow — the single-row accumulator (moved here from
@@ -14,8 +14,6 @@
 //     so the same tile sweep serves a request's prefill matrices, a KV
 //     cache's contiguous storage, or one sequence of a ragged batch
 //     (src/runtime/batch.h) without materializing per-call tensors.
-//   * absorb_key_run — single-row run absorb, the workhorse of the
-//     row-granular sparse kernels.
 //   * mk::QBlock / mk::absorb_key_tile — the register-blocked core: up to
 //     mk::kQRows query rows advance through one K/V stream together, so
 //     each K row is scored with one simd::dotn (K lanes loaded once for
@@ -110,17 +108,6 @@ struct KvView {
 
   static KvView of(const AttentionInput& in) { return {in.k.data(), in.v.data(), in.head_dim()}; }
 };
-
-}  // namespace mk
-
-// Absorbs the key run [lo, hi) of `kv` into a row's online-softmax state
-// with a single rescale for the whole run (tile-level update). `scale` is
-// 1/sqrt(d); `logits` is caller-owned scratch. Shared by the row-run and
-// block-sparse kernels.
-void absorb_key_run(OnlineSoftmaxRow& st, const mk::KvView& kv, std::span<const float> qi,
-                    float scale, Index lo, Index hi, std::vector<float>& logits);
-
-namespace mk {
 
 // Query rows processed per register block. Matches simd::kMaxRows: the
 // AVX2 dotn/axpyn keep one pair of double accumulators per row in ymm

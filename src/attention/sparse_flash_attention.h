@@ -1,12 +1,18 @@
 // Adaptive structured sparse attention kernel (Section 4.3).
 //
 // This is the CPU analogue of the paper's modified-FlashAttention kernel:
-// exactly the same online-softmax update as flash_attention.cpp, but per
-// query row it visits only the key runs admitted by a StructuredMask —
-// the local window interval plus the run-compressed column stripes (plus any
-// extra blocks, for BigBird). Work and memory traffic are therefore
-// proportional to the mask density instead of Sk, which is where the
-// paper's wall-clock speedup comes from.
+// the tiling and online-softmax update of flash_attention.cpp, restricted
+// to the cells a StructuredMask admits — the local window and diagonal
+// bands, the run-compressed column stripes, and any extra blocks (BigBird).
+// Query tiles of FlashConfig{}.tile_q rows run in parallel; each walks the
+// key axis in tile_k chunks, and every mk::kQRows row group of the tile
+// consumes a chunk while it is in cache. Stripe runs below a group's lowest
+// band start are shared by all of its rows and absorbed as one blocked call
+// each; the near-diagonal rest is split into maximal intervals of constant
+// row membership, each absorbed with only its member rows. The kernel
+// evaluates exactly the mask's cells and never reads masked K/V, so work and
+// memory traffic scale with the mask density instead of Sk — which is where
+// the paper's wall-clock speedup comes from.
 #pragma once
 
 #include <functional>

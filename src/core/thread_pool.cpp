@@ -1,6 +1,5 @@
 #include "core/thread_pool.h"
 
-#include <atomic>
 #include <cstdlib>
 
 namespace sattn {
@@ -59,7 +58,10 @@ void ThreadPool::parallel_for(Index n, const std::function<void(Index)>& fn) {
   }
   const Index chunks = std::min(n, n_workers);
   const Index per = (n + chunks - 1) / chunks;
-  std::atomic<Index> remaining{chunks};
+  // The count, mutex and condition variable live on this frame. Each task
+  // decrements under done_mu, so this call can only see zero — and return,
+  // destroying them — after the last task has released done_mu for good.
+  Index remaining = chunks;
   std::mutex done_mu;
   std::condition_variable done_cv;
   {
@@ -69,16 +71,14 @@ void ThreadPool::parallel_for(Index n, const std::function<void(Index)>& fn) {
       const Index hi = std::min(n, lo + per);
       tasks_.emplace([&, lo, hi] {
         for (Index i = lo; i < hi; ++i) fn(i);
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard dlk(done_mu);
-          done_cv.notify_one();
-        }
+        std::lock_guard dlk(done_mu);
+        if (--remaining == 0) done_cv.notify_one();
       });
     }
   }
   cv_.notify_all();
   std::unique_lock dlk(done_mu);
-  done_cv.wait(dlk, [&] { return remaining.load() == 0; });
+  done_cv.wait(dlk, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::global() {

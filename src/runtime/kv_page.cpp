@@ -9,7 +9,8 @@ namespace sattn {
 
 namespace {
 
-bool is_pow2(Index v) { return v > 0 && (v & (v - 1)) == 0; }
+// Only read by the constructor's assert, so unused under NDEBUG.
+[[maybe_unused]] bool is_pow2(Index v) { return v > 0 && (v & (v - 1)) == 0; }
 
 Index log2_of(Index v) {
   Index s = 0;

@@ -67,7 +67,9 @@ TEST(FullAttention, ScoresAreRowStochasticAndCausal) {
   for (Index i = 0; i < 5; ++i) {
     double s = 0.0;
     for (Index j = 0; j < 5; ++j) {
-      if (j > i) EXPECT_FLOAT_EQ(p(i, j), 0.0f);
+      if (j > i) {
+        EXPECT_FLOAT_EQ(p(i, j), 0.0f);
+      }
       EXPECT_GE(p(i, j), 0.0f);
       s += p(i, j);
     }

@@ -87,7 +87,9 @@ TEST(AuditSelectionTest, SelectionIsDeterministicAndNestedAcrossRates) {
     // Pure function of (seed, id, row): a second auditor agrees exactly.
     EXPECT_EQ(in_lo, lo2.selects_row("request-7", row));
     // Nested: every row audited at 0.1 is audited at 0.5.
-    if (in_lo) EXPECT_TRUE(hi.selects_row("request-7", row));
+    if (in_lo) {
+      EXPECT_TRUE(hi.selects_row("request-7", row));
+    }
     lo_picked += in_lo ? 1 : 0;
     hi_picked += hi.selects_row("request-7", row) ? 1 : 0;
   }

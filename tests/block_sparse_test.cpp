@@ -123,7 +123,8 @@ TEST(BlockKernel, FullLayoutEqualsDense) {
 
 TEST(BlockKernel, CloseToRowRunKernelOnSamplePlans) {
   // Block rounding keeps a superset: the blocked output should be at least
-  // as close to full attention as the row-run output, and both near-lossless.
+  // as close to full attention as the cell-exact sparse_flash output, and
+  // both near-lossless.
   const ModelConfig model = chatglm2_6b();
   const AttentionInput in = generate_attention(model, plain_prompt(3, 512), 8, 3);
   const SamplePlan plan = plan_sample_attention(in, SampleAttentionConfig{});
@@ -151,8 +152,8 @@ TEST(BlockKernel, NonDivisibleSizes) {
 
 TEST(BlockKernel, BlockOneEqualsRowRunKernel) {
   // Differential invariant: block size 1 rounds nothing, so the block
-  // kernel must agree with the row-run kernel to float tolerance on any
-  // structured mask.
+  // kernel must agree with the cell-exact sparse_flash kernel to float
+  // tolerance on any structured mask.
   const ModelConfig model = chatglm2_6b();
   const AttentionInput in = generate_attention(model, plain_prompt(9, 320), 8, 3);
   const SamplePlan plan = plan_sample_attention(in, SampleAttentionConfig{});

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/tensor.h"
@@ -169,6 +171,28 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
   bool called = false;
   parallel_for(0, [&](Index) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, ShortLoopsFromConcurrentCallersComplete) {
+  // Regression: parallel_for used to return as soon as the last task's
+  // completion decrement was visible, and that task then locked the
+  // caller's already-destroyed completion mutex (std::system_error
+  // "Invalid argument" under load). Oversubscribed pools running tiny loops
+  // hit that window; TSan flags it even when the timing stays benign.
+  constexpr int kCallers = 3;
+  constexpr int kCalls = 5000;
+  std::atomic<long> sum{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      ThreadPool pool(4);
+      for (int k = 0; k < kCalls; ++k) {
+        pool.parallel_for(2, [&](Index i) { sum.fetch_add(i + 1); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(sum.load(), 3L * kCallers * kCalls);
 }
 
 TEST(ThreadPool, ExplicitPoolRuns) {

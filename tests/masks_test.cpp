@@ -126,7 +126,8 @@ TEST(CausalPairs, CountsLowerTriangle) {
   EXPECT_DOUBLE_EQ(causal_pairs(2, 4), 7.0);   // 3+4
 }
 
-// Density must always lie in [0, 1] for random masks (property sweep).
+// Density must always lie in [0, 1] for random masks and equal the
+// to_dense() cell count with window, stripes, a block and a diagonal band.
 class MaskDensityProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaskDensityProperty, DensityInUnitInterval) {
@@ -138,6 +139,7 @@ TEST_P(MaskDensityProperty, DensityInUnitInterval) {
   for (Index c = seed % 3; c < s; c += 3 + seed % 4) cols.push_back(c);
   m.set_stripe_columns(cols);
   m.add_block({seed % 5, seed % 5 + 4, 0, 3});
+  m.add_diagonal_band({2 + seed % 9, 1 + seed % 4});
   EXPECT_GE(m.density(), 0.0);
   EXPECT_LE(m.density(), 1.0);
   const Matrix dense = m.to_dense();

@@ -293,7 +293,9 @@ TEST(Scheduler, TraceIsDeterministicAndSorted) {
   for (std::size_t r = 0; r < a.size(); ++r) {
     EXPECT_EQ(a[r].prompt_tokens, b[r].prompt_tokens);
     EXPECT_DOUBLE_EQ(a[r].arrival_seconds, b[r].arrival_seconds);
-    if (r > 0) EXPECT_GE(a[r].arrival_seconds, a[r - 1].arrival_seconds);
+    if (r > 0) {
+      EXPECT_GE(a[r].arrival_seconds, a[r - 1].arrival_seconds);
+    }
     EXPECT_GE(a[r].prompt_tokens, 1024);
     EXPECT_LE(a[r].prompt_tokens, 65536 + 1);
   }

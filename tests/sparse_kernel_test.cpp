@@ -11,20 +11,26 @@
 #include "attention/sparse_flash_attention.h"
 #include "core/numerics.h"
 #include "core/rng.h"
+#include "obs/accounting.h"
+#include "obs/trace.h"
 
 namespace sattn {
 namespace {
 
-AttentionInput random_input(Index s, Index d, std::uint64_t seed) {
+AttentionInput random_input(Index s, Index sk, Index d, std::uint64_t seed) {
   AttentionInput in;
   in.q.resize(s, d);
-  in.k.resize(s, d);
-  in.v.resize(s, d);
+  in.k.resize(sk, d);
+  in.v.resize(sk, d);
   Rng rng(seed);
   rng.fill_normal(in.q);
   rng.fill_normal(in.k);
   rng.fill_normal(in.v);
   return in;
+}
+
+AttentionInput random_input(Index s, Index d, std::uint64_t seed) {
+  return random_input(s, s, d, seed);
 }
 
 // Reference masked attention: softmax over exactly the masked-in keys.
@@ -129,6 +135,20 @@ TEST(SparseFlash, CrossLengthOffset) {
   EXPECT_LT(max_abs_diff(out, masked_reference(in, mask)), 2e-5f);
 }
 
+TEST(SparseFlash, RowsBeforeTheCausalStartAreZero) {
+  // sq > sk: the first sq - sk query rows have no causal key at all.
+  AttentionInput in = random_input(70, 40, 8, 9);
+  StructuredMask mask(70, 40);
+  mask.set_window(5);
+  mask.set_stripe_columns({0, 1, 17});
+  Matrix out;
+  sparse_flash_attention(in, mask, out);
+  for (Index i = 0; i < 30; ++i) {
+    for (float v : out.row(i)) EXPECT_EQ(v, 0.0f) << "row " << i;
+  }
+  EXPECT_LT(max_abs_diff(out, masked_reference(in, mask)), 2e-5f);
+}
+
 TEST(SparseFlash, WorkMatchesDensityTimesCausalPairs) {
   StructuredMask mask(64, 64);
   mask.set_window(8);
@@ -148,31 +168,63 @@ TEST(MaskedAttention, AdapterReportsDensity) {
   EXPECT_EQ(res.out.rows(), 32);
 }
 
-// Property sweep: kernel == masked reference on random masks.
-class SparseKernelProperty : public ::testing::TestWithParam<int> {};
+// Property sweep: kernel == masked reference on random masks. Seeds 12+
+// take sizes that cross the 64-row query tile and leave a 1-3-row remainder
+// in the last row group; every third seed is cross-length (sq < sk); masks
+// mix window, stripes, diagonal bands and blocks. The accounted FLOPs must
+// equal 4*d times the causal cells of to_dense(), which pins the kernel's
+// evals tally to the mask itself rather than to density().
+class SparseKernelProperty : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    obs::ResourceAccountant::global().reset();
+    ASSERT_TRUE(obs::set_enabled(true)) << "SATTN_TRACE=0 in the test environment";
+  }
+  void TearDown() override {
+    obs::set_enabled(false);
+    obs::ResourceAccountant::global().reset();
+  }
+};
 
 TEST_P(SparseKernelProperty, AgreesWithMaskedReference) {
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 13);
-  const Index s = 16 + static_cast<Index>(rng.uniform_index(48));
-  AttentionInput in = random_input(s, 8, static_cast<std::uint64_t>(seed) + 1000);
-  StructuredMask mask(s, s);
-  mask.set_window(1 + rng.uniform_index(s / 2));
+  const Index s = seed < 12 ? 16 + static_cast<Index>(rng.uniform_index(48))
+                            : 64 * (1 + seed % 3) + 1 + (seed / 3) % 3;
+  const Index sk = seed % 3 == 2 ? s + 1 + static_cast<Index>(rng.uniform_index(40)) : s;
+  const Index d = 8;
+  AttentionInput in = random_input(s, sk, d, static_cast<std::uint64_t>(seed) + 1000);
+  StructuredMask mask(s, sk);
+  // Every fifth seed has no window, so causal limits cut intervals that no
+  // band edge does.
+  const Index window = 1 + rng.uniform_index(s / 2);
+  mask.set_window(seed % 5 == 4 ? 0 : window);
   std::vector<Index> cols;
-  const Index n_cols = rng.uniform_index(s / 2);
-  for (Index c = 0; c < n_cols; ++c) cols.push_back(rng.uniform_index(s));
+  const Index n_cols = rng.uniform_index(sk / 2);
+  for (Index c = 0; c < n_cols; ++c) cols.push_back(rng.uniform_index(sk));
   mask.set_stripe_columns(cols);
   if (seed % 2 == 0) {
     const Index q0 = rng.uniform_index(s / 2);
-    const Index k0 = rng.uniform_index(s / 2);
+    const Index k0 = rng.uniform_index(sk / 2);
     mask.add_block({q0, q0 + 4, k0, k0 + 6});
+  }
+  if (seed % 4 != 3) {
+    mask.add_diagonal_band({2 + static_cast<Index>(rng.uniform_index(s / 2)),
+                            1 + static_cast<Index>(rng.uniform_index(8))});
   }
   Matrix out;
   sparse_flash_attention(in, mask, out);
   EXPECT_LT(max_abs_diff(out, masked_reference(in, mask)), 3e-5f) << "seed=" << seed;
+
+  const Matrix dense = mask.to_dense();
+  double cells = 0.0;
+  for (float v : dense.flat()) cells += v;
+  EXPECT_EQ(obs::ResourceAccountant::global().kernel_total("sparse_flash").flops,
+            4.0 * static_cast<double>(d) * cells)
+      << "seed=" << seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelProperty, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelProperty, ::testing::Range(0, 36));
 
 }  // namespace
 }  // namespace sattn
