@@ -103,14 +103,21 @@ void BM_StripesContiguous(benchmark::State& state) {
 }
 BENCHMARK(BM_StripesContiguous);
 
-void BM_StripesScattered(benchmark::State& state) {
-  const Index s = 2048;
-  const AttentionInput in = bench_input(s);
+// Window 4 plus 256 isolated stripe columns (stride 7): the fragmented
+// stripe shape of the heaviest traced heads.
+StructuredMask scattered_stripes_mask(Index s) {
   StructuredMask mask(s, s);
   mask.set_window(4);
   std::vector<Index> cols;
-  for (Index c = 0; c < 256; ++c) cols.push_back(c * 7 % s);  // 256 isolated columns
+  for (Index c = 0; c < 256; ++c) cols.push_back(c * 7 % s);
   mask.set_stripe_columns(cols);
+  return mask;
+}
+
+void BM_StripesScattered(benchmark::State& state) {
+  const Index s = 2048;
+  const AttentionInput in = bench_input(s);
+  const StructuredMask mask = scattered_stripes_mask(s);
   Matrix out;
   for (auto _ : state) {
     sparse_flash_attention(in, mask, out);
@@ -200,6 +207,17 @@ void BM_SimdCompareSparseFlash(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_SimdCompareSparseFlash, false)->Arg(2048);
 BENCHMARK_TEMPLATE(BM_SimdCompareSparseFlash, true)->Arg(2048);
+
+template <bool kForceScalar>
+void BM_SimdCompareStripesScattered(benchmark::State& state) {
+  const StructuredMask mask = scattered_stripes_mask(state.range(0));
+  simd_compare_run<kForceScalar>(
+      state,
+      [&mask](const AttentionInput& in, Matrix& out) { sparse_flash_attention(in, mask, out); },
+      state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_SimdCompareStripesScattered, false)->Arg(2048);
+BENCHMARK_TEMPLATE(BM_SimdCompareStripesScattered, true)->Arg(2048);
 
 template <bool kForceScalar>
 void BM_SimdCompareSampleEndToEnd(benchmark::State& state) {

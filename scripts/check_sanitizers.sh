@@ -51,6 +51,10 @@ for mode in 1 0; do
   SATTN_FORCE_SCALAR="$mode" "$build/tests/attention_test"
   SATTN_FORCE_SCALAR="$mode" "$build/tests/sparse_kernel_test"
   SATTN_FORCE_SCALAR="$mode" "$build/tests/block_sparse_test"
+  # Stage-1 scoring (mk::logits_rows) and the LSH baselines' projections
+  # run on widened query rows through simd::dotn on either backend.
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/sampling_test"
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/baselines_test"
   # Ragged-batch parity must hold bit-exactly on both backends.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" --gtest_filter='RaggedBatch.*'
   # Chaos harness: eviction-compacted caches must keep the sweep

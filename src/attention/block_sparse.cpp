@@ -112,10 +112,14 @@ void block_sparse_attention(const float* q, Index sq, const mk::KvView& kv, Inde
     for (Index r = 0; r < rows; ++r) state.emplace_back(d);
     std::vector<float> logits;
     double tile_evals = 0.0;
+    // The q-block's rows, widened once for all of its active k-blocks.
+    std::vector<double> qw(static_cast<std::size_t>(rows * d));
+    simd::widen(q + static_cast<std::size_t>(q_lo * d), rows * d, qw.data());
 
     for (Index kb : layout.active_kblocks(qb)) {
       const Index k_lo = kb * block;
       const Index k_hi = std::min(sk, k_lo + block);
+      const ColumnRun run{k_lo, k_hi};
       // Register-blocked: groups of mk::kQRows rows of this q-block share
       // each K/V row of the tile (attention/microkernel.h).
       for (Index r0 = 0; r0 < rows; r0 += mk::kQRows) {
@@ -129,7 +133,7 @@ void block_sparse_attention(const float* q, Index sq, const mk::KvView& kv, Inde
           const Index hi = std::min(k_hi, lim + 1);
           if (hi <= k_lo) continue;
           OnlineSoftmaxRow& st = state[static_cast<std::size_t>(r)];
-          b.q[b.rows] = q + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+          b.q[b.rows] = qw.data() + static_cast<std::size_t>(r * d);
           b.m[b.rows] = &st.m;
           b.l[b.rows] = &st.l;
           b.acc[b.rows] = st.acc.data();
@@ -137,7 +141,7 @@ void block_sparse_attention(const float* q, Index sq, const mk::KvView& kv, Inde
           ++b.rows;
           tile_evals += static_cast<double>(hi - k_lo);
         }
-        if (b.rows > 0) mk::absorb_key_tile(b, kv, scale, k_lo, his, logits);
+        if (b.rows > 0) mk::absorb_key_tile(b, kv, scale, {&run, 1}, his, logits);
       }
     }
     for (Index r = 0; r < rows; ++r) {

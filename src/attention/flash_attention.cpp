@@ -18,9 +18,13 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   double evals = 0.0;
   std::vector<float> logits;
+  std::vector<double> qw;
   for (Index t_lo = 0; t_lo < rows; t_lo += cfg.tile_q) {
     const Index t_hi = std::min(rows, t_lo + cfg.tile_q);
     const Index t_rows = t_hi - t_lo;
+    // The tile's query rows, widened once for every key chunk.
+    qw.resize(static_cast<std::size_t>(t_rows * d));
+    simd::widen(q + static_cast<std::size_t>(t_lo * d), t_rows * d, qw.data());
 
     // Per-tile state: running max / normalizer / accumulator per query row.
     std::vector<float> m(static_cast<std::size_t>(t_rows),
@@ -32,6 +36,7 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
     const Index tile_k_max = std::min(k_hi - 1, (t_hi - 1) + causal_off);
     for (Index k_lo = 0; k_lo <= tile_k_max; k_lo += cfg.tile_k) {
       const Index kt_hi = std::min(tile_k_max + 1, k_lo + cfg.tile_k);
+      const ColumnRun run{k_lo, kt_hi};
       // Register-blocked inner loop: groups of mk::kQRows query rows share
       // each K/V row of the tile (one dotn/axpyn per key for the group).
       for (Index r0 = t_lo; r0 < t_hi; r0 += mk::kQRows) {
@@ -44,7 +49,7 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
           if (k_lo >= vis) continue;  // entire tile masked for this row
           const Index jn = std::min(kt_hi, vis);
           const auto rr = static_cast<std::size_t>(r - t_lo);
-          b.q[b.rows] = q + static_cast<std::size_t>(r) * static_cast<std::size_t>(d);
+          b.q[b.rows] = qw.data() + rr * static_cast<std::size_t>(d);
           b.m[b.rows] = &m[rr];
           b.l[b.rows] = &l[rr];
           b.acc[b.rows] = acc.row(r - t_lo).data();
@@ -52,7 +57,7 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
           ++b.rows;
           evals += static_cast<double>(jn - k_lo);
         }
-        if (b.rows > 0) mk::absorb_key_tile(b, kv, scale, k_lo, his, logits);
+        if (b.rows > 0) mk::absorb_key_tile(b, kv, scale, {&run, 1}, his, logits);
       }
     }
     for (Index r = 0; r < t_rows; ++r) {

@@ -13,9 +13,10 @@ namespace {
 // tails of the blocked absorb bottom out here. Kept out of line: with
 // absorb_key_tile as its only caller the compiler inlines it there, which
 // slows the blocked loop itself (dense flash ~10% on GCC 12 / AVX2).
-[[gnu::noinline]] void absorb_run_row(const simd::Ops& ops, const float* qi, float& m, double& l, float* acc,
-                    Index d, const mk::KvView& kv, float scale, Index lo, Index hi,
-                    std::vector<float>& logits) {
+[[gnu::noinline]] void absorb_run_row(const simd::Ops& ops, const double* qi, float& m,
+                                      double& l, float* acc, Index d, const mk::KvView& kv,
+                                      float scale, Index lo, Index hi,
+                                      std::vector<float>& logits) {
   if (hi <= lo) return;
   const auto n = static_cast<std::size_t>(hi - lo);
   if (logits.size() < n) logits.resize(n);
@@ -24,7 +25,9 @@ namespace {
     const Index re = kv.run_end(j, hi);
     const float* krow = kv.k_row(j);
     for (; j < re; ++j, krow += d) {
-      const float s = scale * ops.dot(qi, krow, d);
+      float s;
+      ops.dotn(&qi, 1, krow, d, &s);
+      s *= scale;
       logits[static_cast<std::size_t>(j - lo)] = s;
       run_max = std::max(run_max, s);
     }
@@ -35,13 +38,30 @@ namespace {
     l *= rescale;
     m = run_max;
   }
+  ops.exp_accumulate(logits.data(), hi - lo, m, &l);
   for (Index j = lo; j < hi;) {
     const Index re = kv.run_end(j, hi);
     const float* vrow = kv.v_row(j);
     for (; j < re; ++j, vrow += d) {
-      const float w = std::exp(logits[static_cast<std::size_t>(j - lo)] - m);
-      l += w;
-      ops.axpy(w, vrow, acc, d);
+      ops.axpy(logits[static_cast<std::size_t>(j - lo)], vrow, acc, d);
+    }
+  }
+}
+
+// Visits every key of runs[0..n-1) and of [runs.back().lo, last_hi) in
+// order as fn(row, col): row is the key's K or V row (per `v`), col its
+// position in the concatenation. Row pointers are resolved once per
+// contiguous KvView run and then marched by d.
+template <typename Fn>
+void for_each_key(const mk::KvView& kv, std::span<const ColumnRun> runs, Index last_hi, bool v,
+                  Fn&& fn) {
+  std::size_t col = 0;
+  for (std::size_t p = 0; p < runs.size(); ++p) {
+    const Index hi = p + 1 == runs.size() ? last_hi : runs[p].hi;
+    for (Index j = runs[p].lo; j < hi;) {
+      const Index re = kv.run_end(j, hi);
+      const float* row = v ? kv.v_row(j) : kv.k_row(j);
+      for (; j < re; ++j, row += kv.d, ++col) fn(row, col);
     }
   }
 }
@@ -75,37 +95,44 @@ void OnlineSoftmaxRow::finalize(std::span<float> out_row) const {
 
 namespace mk {
 
-void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
-                     const Index* hi, std::vector<float>& logits) {
-  assert(b.rows >= 1 && b.rows <= kQRows);
+void absorb_key_tile(const QBlock& b, const KvView& kv, float scale,
+                     std::span<const ColumnRun> runs, const Index* hi,
+                     std::vector<float>& logits) {
+  assert(b.rows >= 1 && b.rows <= kQRows && !runs.empty());
   const simd::Ops& ops = simd::ops();
   const Index rows = b.rows, d = b.d;
+  const ColumnRun& last = runs.back();
 
   Index hi_min = hi[0];
-  for (Index r = 1; r < rows; ++r) hi_min = std::min(hi_min, hi[r]);
+  for (Index r = 0; r < rows; ++r) {
+    assert(hi[r] <= last.hi);
+    hi_min = std::min(hi_min, hi[r]);
+  }
 
-  // Shared prefix [lo, hi_min): every row sees every key, so K/V rows are
-  // loaded once per block via dotn/axpyn.
-  const Index shared = std::max<Index>(0, hi_min - lo);
+  // Shared keys: every run but the last, then [last.lo, hi_min). Every row
+  // sees every one of them, so K/V rows are loaded once per block via
+  // dotn/axpyn, and each row pays one max, rescale and exp pass for the
+  // whole list.
+  const Index shared_hi = std::max(last.lo, hi_min);
+  Index shared = shared_hi - last.lo;
+  for (std::size_t p = 0; p + 1 < runs.size(); ++p) shared += runs[p].width();
   if (shared > 0) {
-    const auto need = static_cast<std::size_t>(shared * rows);
-    if (logits.size() < need) logits.resize(need);
+    const auto stride = static_cast<std::size_t>(shared);
+    if (logits.size() < stride * static_cast<std::size_t>(rows)) {
+      logits.resize(stride * static_cast<std::size_t>(rows));
+    }
+    float* lg = logits.data();
     float run_max[kQRows];
     for (Index r = 0; r < rows; ++r) run_max[r] = -std::numeric_limits<float>::infinity();
-    float s[kQRows];
-    for (Index j = lo; j < hi_min;) {
-      const Index re = kv.run_end(j, hi_min);
-      const float* krow = kv.k_row(j);
-      for (; j < re; ++j, krow += d) {
-        ops.dotn(b.q, rows, krow, d, s);
-        const auto col = static_cast<std::size_t>(j - lo);
-        for (Index r = 0; r < rows; ++r) {
-          const float v = scale * s[r];
-          logits[static_cast<std::size_t>(r) * static_cast<std::size_t>(shared) + col] = v;
-          run_max[r] = std::max(run_max[r], v);
-        }
+    for_each_key(kv, runs, shared_hi, /*v=*/false, [&](const float* krow, std::size_t col) {
+      float s[kQRows];
+      ops.dotn(b.q, rows, krow, d, s);
+      for (Index r = 0; r < rows; ++r) {
+        const float v = scale * s[r];
+        lg[static_cast<std::size_t>(r) * stride + col] = v;
+        run_max[r] = std::max(run_max[r], v);
       }
-    }
+    });
     for (Index r = 0; r < rows; ++r) {
       if (run_max[r] > *b.m[r]) {
         const float rescale = std::exp(*b.m[r] - run_max[r]);
@@ -113,30 +140,20 @@ void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
         *b.l[r] *= rescale;
         *b.m[r] = run_max[r];
       }
+      ops.exp_accumulate(lg + static_cast<std::size_t>(r) * stride, shared, *b.m[r], b.l[r]);
     }
-    float w[kQRows];
-    for (Index j = lo; j < hi_min;) {
-      const Index re = kv.run_end(j, hi_min);
-      const float* vrow = kv.v_row(j);
-      for (; j < re; ++j, vrow += d) {
-        const auto col = static_cast<std::size_t>(j - lo);
-        for (Index r = 0; r < rows; ++r) {
-          w[r] = std::exp(
-              logits[static_cast<std::size_t>(r) * static_cast<std::size_t>(shared) + col] -
-              *b.m[r]);
-          *b.l[r] += w[r];
-        }
-        ops.axpyn(w, rows, vrow, b.acc, d);
-      }
-    }
+    for_each_key(kv, runs, shared_hi, /*v=*/true, [&](const float* vrow, std::size_t col) {
+      float w[kQRows];
+      for (Index r = 0; r < rows; ++r) w[r] = lg[static_cast<std::size_t>(r) * stride + col];
+      ops.axpyn(w, rows, vrow, b.acc, d);
+    });
   }
 
-  // Ragged tails: rows whose causal limit extends past the shared prefix
-  // finish through the single-row path (one extra rescale per tail run).
-  const Index tail_lo = std::max(lo, hi_min);
+  // Ragged tails: rows whose limit extends past the shared part of the last
+  // run finish through the single-row path (one extra rescale per tail).
   for (Index r = 0; r < rows; ++r) {
-    if (hi[r] > tail_lo) {
-      absorb_run_row(ops, b.q[r], *b.m[r], *b.l[r], b.acc[r], d, kv, scale, tail_lo, hi[r],
+    if (hi[r] > shared_hi) {
+      absorb_run_row(ops, b.q[r], *b.m[r], *b.l[r], b.acc[r], d, kv, scale, shared_hi, hi[r],
                      logits);
     }
   }
@@ -163,13 +180,20 @@ void logits_rows(const AttentionInput& in, const Index* q_rows, Index rows, floa
     ord[t] = o;
   }
 
+  // Each query row is widened once for its whole pass over K.
+  const auto ud = static_cast<std::size_t>(d);
+  std::vector<double> qw(static_cast<std::size_t>(rows) * ud);
+  for (Index r = 0; r < rows; ++r) {
+    simd::widen(in.q.row(q_rows[r]).data(), d, qw.data() + static_cast<std::size_t>(r) * ud);
+  }
+
   Index j = 0;
   for (Index g = 0; g < rows; ++g) {
     const Index lim = causal_limit(q_rows[ord[g]], sq, sk);
     const Index nact = rows - g;
-    const float* qp[kQRows];
+    const double* qp[kQRows];
     for (Index t = 0; t < nact; ++t) {
-      qp[t] = in.q.row(q_rows[ord[g + t]]).data();
+      qp[t] = qw.data() + static_cast<std::size_t>(ord[g + t]) * ud;
     }
     float s[kQRows];
     for (; j <= lim; ++j) {

@@ -15,14 +15,21 @@
 //     cache's contiguous storage, or one sequence of a ragged batch
 //     (src/runtime/batch.h) without materializing per-call tensors.
 //   * mk::QBlock / mk::absorb_key_tile — the register-blocked core: up to
-//     mk::kQRows query rows advance through one K/V stream together, so
-//     each K row is scored with one simd::dotn (K lanes loaded once for
-//     all rows) and each V row accumulated with one simd::axpyn. Rows may
-//     have ragged causal limits; the shared prefix is blocked and the
+//     mk::kQRows query rows, widened to double once by the caller, advance
+//     through one K/V stream together, so each K row is scored with one
+//     simd::dotn (K lanes loaded once for all rows) and each V row
+//     accumulated with one simd::axpyn. One call absorbs a list of
+//     disjoint key runs (a chunk's stripe runs, or one tile) with a single
+//     max, rescale and simd::exp_accumulate pass per row. Rows may have
+//     ragged limits in the last run; the shared keys are blocked and the
 //     tails fall back to the single-row path, so masked (never-visited)
 //     K/V entries are never read.
 //   * mk::logits_rows — the blocked score path used by for_each_score_row
 //     (Stage-1 sampling): up to kQRows sampled rows share one pass over K.
+//
+// Every score goes through simd::dotn on widened rows (bit-identical to
+// simd::dot on the float rows within a table), so there is a single dot
+// path.
 //
 // All paths call simd::ops() — AVX2/FMA where the CPU supports it, the
 // portable scalar table under SATTN_FORCE_SCALAR=1 or simd::ScopedForceScalar.
@@ -33,6 +40,7 @@
 #include <span>
 #include <vector>
 
+#include "attention/masks.h"
 #include "core/simd.h"
 #include "core/tensor.h"
 
@@ -121,21 +129,25 @@ inline constexpr Index kQRows = simd::kMaxRows;
 struct QBlock {
   Index rows = 0;  // active rows, 1..kQRows
   Index d = 0;     // head dim
-  const float* q[kQRows] = {};  // query rows
+  const double* q[kQRows] = {};  // query rows, widened (simd::widen)
   float* m[kQRows] = {};        // running max per row
   double* l[kQRows] = {};       // running normalizer per row
   float* acc[kQRows] = {};      // unnormalized accumulator rows, length d
 };
 
-// Absorbs keys [lo, hi[r]) into each row r of the block. The shared prefix
-// [lo, min_r hi[r]) is processed register-blocked — each K/V row is loaded
-// once for all rows — with one rescale per row for the whole prefix; the
-// ragged tails [min_r hi[r], hi[r]) run through the single-row path. Rows
-// with hi[r] <= lo must not be placed in the block (their state would still
-// be correct, but they would force an empty shared prefix).
-// `logits` is caller-owned scratch, grown as needed.
-void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
-                     const Index* hi, std::vector<float>& logits);
+// Absorbs the disjoint, ascending key runs into each row r of the block:
+// every run but the last whole, and [runs.back().lo, hi[r]) of the last
+// (hi[r] <= runs.back().hi; a single run [lo, max_r hi[r]) is the tile
+// case). The keys every row shares — the leading runs and the last run up
+// to min_r hi[r] — are processed register-blocked, each K/V row loaded once
+// for all rows, with one max, rescale and exp pass per row for the whole
+// list; the ragged tails of the last run go through the single-row path.
+// Rows with hi[r] <= runs.back().lo should not be placed in a one-run block
+// (their state would still be correct, but they would force an empty shared
+// part). `logits` is caller-owned scratch, grown as needed.
+void absorb_key_tile(const QBlock& b, const KvView& kv, float scale,
+                     std::span<const ColumnRun> runs, const Index* hi,
+                     std::vector<float>& logits);
 
 // Blocked score path: fills out[r][0..sk) with the causal logits row of
 // query q_rows[r] (same semantics as logits_row in full_attention.h: the

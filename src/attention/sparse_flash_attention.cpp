@@ -16,10 +16,10 @@ namespace {
 
 // One query tile of the sparse sweep: per-row online-softmax state for the
 // tile's live rows [r_lo, r_lo + rows) plus the mask structure it walks.
-// Row groups of up to mk::kQRows rows absorb key intervals through
+// Row groups of up to mk::kQRows rows absorb key runs through
 // mk::absorb_key_tile; a group's membership is a bit mask over its rows.
 struct TileSweep {
-  const float* q;
+  std::vector<double> qw;  // the tile's query rows, widened once
   const mk::KvView& kv;
   float scale;
   Index off;  // causal_limit(i) == i + off
@@ -32,13 +32,14 @@ struct TileSweep {
   Matrix acc;
   std::vector<float> logits;
   std::vector<Index> edges;
+  std::vector<ColumnRun> runs;  // a group's shared stripe runs in one chunk
   double evals = 0.0;
   double meta_reads = 0.0;
 
   TileSweep(const float* q_, const mk::KvView& kv_, Index off_,
             const std::vector<ColumnRun>& stripes_, const std::vector<ColumnRun>& offsets_,
             Index r_lo_, Index rows)
-      : q(q_),
+      : qw(static_cast<std::size_t>(rows * kv_.d)),
         kv(kv_),
         scale(1.0f / std::sqrt(static_cast<float>(kv_.d))),
         off(off_),
@@ -47,10 +48,13 @@ struct TileSweep {
         r_lo(r_lo_),
         m(static_cast<std::size_t>(rows), -std::numeric_limits<float>::infinity()),
         l(static_cast<std::size_t>(rows), 0.0),
-        acc(rows, kv_.d) {}
+        acc(rows, kv_.d) {
+    simd::widen(q_ + static_cast<std::size_t>(r_lo * kv_.d), rows * kv_.d, qw.data());
+  }
 
-  // Keys [lo, hi) into every member row of group [g0, g1).
-  void absorb(Index g0, Index g1, unsigned members, Index lo, Index hi) {
+  // The disjoint ascending key runs `ks` into every member row of group
+  // [g0, g1), in one absorb.
+  void absorb(Index g0, Index g1, unsigned members, std::span<const ColumnRun> ks) {
     const Index d = kv.d;
     mk::QBlock b;
     b.d = d;
@@ -58,16 +62,23 @@ struct TileSweep {
     for (Index r = g0; r < g1; ++r) {
       if (((members >> (r - g0)) & 1u) == 0) continue;
       const auto rr = static_cast<std::size_t>(r - r_lo);
-      b.q[b.rows] = q + static_cast<std::size_t>(r) * static_cast<std::size_t>(d);
+      b.q[b.rows] = qw.data() + rr * static_cast<std::size_t>(d);
       b.m[b.rows] = &m[rr];
       b.l[b.rows] = &l[rr];
       b.acc[b.rows] = acc.row(r - r_lo).data();
-      his[b.rows] = hi;
+      his[b.rows] = ks.back().hi;
       ++b.rows;
     }
-    mk::absorb_key_tile(b, kv, scale, lo, his, logits);
-    evals += static_cast<double>(b.rows) * static_cast<double>(hi - lo);
-    meta_reads += 1.0;
+    mk::absorb_key_tile(b, kv, scale, ks, his, logits);
+    Index cells = 0;
+    for (const ColumnRun& k : ks) cells += k.width();
+    evals += static_cast<double>(b.rows) * static_cast<double>(cells);
+    meta_reads += static_cast<double>(ks.size());
+  }
+
+  void absorb(Index g0, Index g1, unsigned members, Index lo, Index hi) {
+    const ColumnRun run{lo, hi};
+    absorb(g0, g1, members, {&run, 1});
   }
 
   // Lowest key any band of a row with causal limit lim reaches; lim + 1
@@ -96,15 +107,18 @@ struct TileSweep {
     const bool has_blocks = std::any_of(blocks.begin(), blocks.end(), reaches);
 
     // 1. Keys below the lowest band start of the group's first row are
-    //    outside every row's bands and causal for all of them: each stripe
-    //    run there is shared by the whole group. A block in the chunk breaks
-    //    that, so the chunk then goes entirely through the interval split.
+    //    outside every row's bands and causal for all of them: the stripe
+    //    runs there are shared by the whole group and go in as one absorb.
+    //    A block in the chunk breaks that, so the chunk then goes entirely
+    //    through the interval split.
     const Index shared_end = has_blocks ? c_lo : band_floor(lim0);
     const Index s_hi = std::min(c_hi, shared_end);
+    runs.clear();
     for (std::size_t p = sr; p < stripes.size() && stripes[p].lo < s_hi; ++p) {
       const Index lo = std::max(stripes[p].lo, c_lo), hi = std::min(stripes[p].hi, s_hi);
-      if (lo < hi) absorb(g0, g1, all, lo, hi);
+      if (lo < hi) runs.push_back({lo, hi});
     }
+    if (!runs.empty()) absorb(g0, g1, all, runs);
 
     // 2. The near-diagonal rest, split at every band-run edge, causal
     //    limit, stripe-run edge and block k-edge into maximal intervals of
@@ -179,8 +193,8 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
   SATTN_SPAN("kernel/sparse_flash");
   SATTN_COUNTER_ADD("sattn.mask_stripe_columns", mask.stripe_columns().size());
   out.resize(sq, d);
-  // Measured work: rows x length of every absorbed interval, plus the mask
-  // metadata the kernel walks (8 bytes per stripe run or interval
+  // Measured work: rows x length of every absorbed run or interval, plus the
+  // mask metadata the kernel walks (8 bytes per stripe run or interval
   // descriptor absorbed per row group). Folded once per tile.
   std::atomic<double> evals_total{0.0};
   std::atomic<double> meta_reads{0.0};

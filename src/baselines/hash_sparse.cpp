@@ -51,6 +51,9 @@ std::vector<Index> bucket_assignment(const Matrix& m, const Matrix& directions,
   std::vector<float> row(static_cast<std::size_t>(m.cols()));
   const Index d = m.cols(), nb = directions.rows();
   const simd::Ops& ops = simd::ops();
+  // The directions are the query side of every projection: widen them once.
+  std::vector<double> dw(static_cast<std::size_t>(nb * d));
+  simd::widen(directions.flat().data(), nb * d, dw.data());
   for (Index r = 0; r < m.rows(); ++r) {
     auto src = m.row(r);
     const float proj = dot(src, remove_dir);
@@ -59,8 +62,8 @@ std::vector<Index> bucket_assignment(const Matrix& m, const Matrix& directions,
     float best_v = -std::numeric_limits<float>::infinity();
     for (Index b0 = 0; b0 < nb; b0 += simd::kMaxRows) {
       const Index nr = std::min<Index>(simd::kMaxRows, nb - b0);
-      const float* dirs[simd::kMaxRows];
-      for (Index t = 0; t < nr; ++t) dirs[t] = directions.row(b0 + t).data();
+      const double* dirs[simd::kMaxRows];
+      for (Index t = 0; t < nr; ++t) dirs[t] = dw.data() + static_cast<std::size_t>((b0 + t) * d);
       float v[simd::kMaxRows];
       ops.dotn(dirs, nr, row.data(), d, v);
       for (Index t = 0; t < nr; ++t) {

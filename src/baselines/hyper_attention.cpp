@@ -21,14 +21,17 @@ std::vector<std::uint32_t> simhash_codes(const Matrix& m, Index bits, Rng rng) {
   const Index d = m.cols();
   Matrix planes(bits, d);
   rng.fill_normal(planes);
+  // The hyperplanes are the query side of every projection: widen them once.
+  std::vector<double> pw(static_cast<std::size_t>(bits * d));
+  simd::widen(planes.flat().data(), bits * d, pw.data());
   std::vector<std::uint32_t> codes(static_cast<std::size_t>(m.rows()), 0u);
   const simd::Ops& ops = simd::ops();
   for (Index r = 0; r < m.rows(); ++r) {
     std::uint32_t code = 0;
     for (Index b0 = 0; b0 < bits; b0 += simd::kMaxRows) {
       const Index nr = std::min<Index>(simd::kMaxRows, bits - b0);
-      const float* rows[simd::kMaxRows];
-      for (Index t = 0; t < nr; ++t) rows[t] = planes.row(b0 + t).data();
+      const double* rows[simd::kMaxRows];
+      for (Index t = 0; t < nr; ++t) rows[t] = pw.data() + static_cast<std::size_t>((b0 + t) * d);
       float s[simd::kMaxRows];
       ops.dotn(rows, nr, m.row(r).data(), d, s);
       for (Index t = 0; t < nr; ++t) {

@@ -1,5 +1,6 @@
 #include "core/simd.h"
 
+#include <cmath>
 #include <cstdlib>
 
 namespace sattn::simd {
@@ -9,8 +10,9 @@ namespace {
 //
 // These loops are the pre-SIMD kernels verbatim: dots accumulate in double
 // (head dims are small but the reference paths compare at 1e-5 tolerances),
-// axpy stays in float. The parity suite pins the dispatched backend against
-// this table, and SATTN_FORCE_SCALAR=1 routes everything through it.
+// axpy stays in float, softmax weights come from std::exp. The parity suite
+// pins the dispatched backend against this table, and SATTN_FORCE_SCALAR=1
+// routes everything through it.
 
 float dot_scalar(const float* a, const float* b, Index n) {
   double acc = 0.0;
@@ -18,8 +20,12 @@ float dot_scalar(const float* a, const float* b, Index n) {
   return static_cast<float>(acc);
 }
 
-void dotn_scalar(const float* const* q, Index rows, const float* k, Index n, float* out) {
-  for (Index r = 0; r < rows; ++r) out[r] = dot_scalar(q[r], k, n);
+void dotn_scalar(const double* const* q, Index rows, const float* k, Index n, float* out) {
+  for (Index r = 0; r < rows; ++r) {
+    double acc = 0.0;
+    for (Index i = 0; i < n; ++i) acc += q[r][i] * static_cast<double>(k[i]);
+    out[r] = static_cast<float>(acc);
+  }
 }
 
 void axpy_scalar(float a, const float* x, float* y, Index n) {
@@ -34,6 +40,15 @@ void scale_scalar(float* x, Index n, float s) {
   for (Index i = 0; i < n; ++i) x[i] *= s;
 }
 
+void exp_accumulate_scalar(float* x, Index n, float m, double* l) {
+  double acc = *l;
+  for (Index i = 0; i < n; ++i) {
+    x[i] = std::exp(x[i] - m);
+    acc += x[i];
+  }
+  *l = acc;
+}
+
 bool force_scalar_from_env() {
   const char* env = std::getenv("SATTN_FORCE_SCALAR");
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
@@ -42,8 +57,8 @@ bool force_scalar_from_env() {
 }  // namespace
 
 const Ops& scalar_ops() {
-  static const Ops table = {"scalar", Level::kScalar, dot_scalar,  dotn_scalar,
-                            axpy_scalar, axpyn_scalar, scale_scalar};
+  static const Ops table = {"scalar",     Level::kScalar, dot_scalar,   dotn_scalar,
+                            axpy_scalar,  axpyn_scalar,   scale_scalar, exp_accumulate_scalar};
   return table;
 }
 

@@ -2,12 +2,13 @@
 //
 // Every hot inner loop in the library funnels through the small primitive
 // set below: dot products (accumulated in double, matching the numeric
-// contract of core/tensor.cpp), multi-row dots that share one key stream,
-// axpy accumulates, multi-row axpy that shares one value stream, and an
-// in-place rescale. Each primitive has a portable scalar implementation and,
-// on x86 hosts whose compiler and CPU both support it, an AVX2/FMA
-// implementation (src/core/simd_avx2.cpp, compiled with -mavx2 -mfma and
-// only ever called after a CPUID check).
+// contract of core/tensor.cpp), multi-row dots of pre-widened query rows
+// that share one key stream, axpy accumulates, multi-row axpy that shares
+// one value stream, an in-place rescale, and the online-softmax exp pass.
+// Each primitive has a portable scalar implementation and, on x86 hosts
+// whose compiler and CPU both support it, an AVX2/FMA implementation
+// (src/core/simd_avx2.cpp, compiled with -mavx2 -mfma and only ever called
+// after a CPUID check).
 //
 // Dispatch contract:
 //   * detected_level()  — what the CPU supports (CPUID), ignoring overrides.
@@ -18,10 +19,12 @@
 //     ScopedForceScalar is alive. This is what kernels call.
 //
 // The scalar table reproduces the pre-SIMD loops bit-for-bit (double
-// accumulation for dots, float fused multiply-add for axpy), so
-// SATTN_FORCE_SCALAR=1 recovers the original kernel numerics exactly and
-// the parity suite (tests/simd_kernel_test.cpp) can compare the two tables
-// in one process.
+// accumulation for dots, float fused multiply-add for axpy, std::exp for
+// the softmax weights), so SATTN_FORCE_SCALAR=1 recovers the original
+// kernel numerics exactly and the parity suite (tests/simd_kernel_test.cpp)
+// can compare the two tables in one process. Within either table, dotn on
+// rows widened by simd::widen is bit-identical to dot on the float rows:
+// widening is exact and the FMA chains are the same.
 #pragma once
 
 #include <atomic>
@@ -45,9 +48,11 @@ struct Ops {
   float (*dot)(const float* a, const float* b, Index n);
 
   // out[r] = dot(q[r], k) for r in [0, rows); rows in [1, kMaxRows]. The
-  // shared k stream is loaded once per vector of lanes for all rows — the
+  // query rows are already widened to double (simd::widen) — callers widen
+  // each row once per tile, not once per key. The shared k stream is loaded
+  // and widened once per vector of lanes for all rows — the
   // register-blocking primitive of the attention micro-kernels.
-  void (*dotn)(const float* const* q, Index rows, const float* k, Index n, float* out);
+  void (*dotn)(const double* const* q, Index rows, const float* k, Index n, float* out);
 
   // y[i] += a * x[i].
   void (*axpy)(float a, const float* x, float* y, Index n);
@@ -58,7 +63,24 @@ struct Ops {
 
   // x[i] *= s (the online-softmax rescale step).
   void (*scale_inplace)(float* x, Index n, float s);
+
+  // x[i] = exp(x[i] - m) and *l += x[i] for i in [0, n) (the online-softmax
+  // weight pass; *l accumulates in double). The scalar table runs std::exp
+  // and adds in ascending i. The AVX2 table evaluates a polynomial exp
+  // within kExpUlpBound ulp of std::exp for results >= FLT_MIN, flushes
+  // smaller results (x - m < ln FLT_MIN, -inf included) to +0, saturates
+  // near FLT_MAX for x - m > 88.37, and sums in a different order.
+  void (*exp_accumulate)(float* x, Index n, float m, double* l);
 };
+
+// Documented accuracy of the vectorized exp in exp_accumulate, in ulp of
+// the std::exp result (pinned by tests/simd_kernel_test.cpp).
+inline constexpr int kExpUlpBound = 1;
+
+// out[i] = double(x[i]): the exact widening dotn's query rows go through.
+inline void widen(const float* x, Index n, double* out) {
+  for (Index i = 0; i < n; ++i) out[i] = static_cast<double>(x[i]);
+}
 
 // The portable fallback; always available.
 const Ops& scalar_ops();
@@ -105,7 +127,7 @@ class ScopedForceScalar {
 
 // Convenience wrappers over the active table.
 inline float dot(const float* a, const float* b, Index n) { return ops().dot(a, b, n); }
-inline void dotn(const float* const* q, Index rows, const float* k, Index n, float* out) {
+inline void dotn(const double* const* q, Index rows, const float* k, Index n, float* out) {
   ops().dotn(q, rows, k, n, out);
 }
 inline void axpy(float a, const float* x, float* y, Index n) { ops().axpy(a, x, y, n); }
@@ -113,5 +135,8 @@ inline void axpyn(const float* w, Index rows, const float* v, float* const* acc,
   ops().axpyn(w, rows, v, acc, n);
 }
 inline void scale_inplace(float* x, Index n, float s) { ops().scale_inplace(x, n, s); }
+inline void exp_accumulate(float* x, Index n, float m, double* l) {
+  ops().exp_accumulate(x, n, m, l);
+}
 
 }  // namespace sattn::simd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/simd.h"
 
@@ -25,11 +26,18 @@ void matmul_nt(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(c.rows() == a.rows() && c.cols() == b.rows());
   const Index m = a.rows(), n = b.rows(), d = a.cols();
   const simd::Ops& ops = simd::ops();
-  // Register-blocked: groups of rows of A share each row of B.
+  // Register-blocked: groups of rows of A, widened once per block, share
+  // each row of B.
+  const auto ud = static_cast<std::size_t>(d);
+  std::vector<double> aw(static_cast<std::size_t>(simd::kMaxRows) * ud);
   for (Index i0 = 0; i0 < m; i0 += simd::kMaxRows) {
     const Index nr = std::min<Index>(simd::kMaxRows, m - i0);
-    const float* rows[simd::kMaxRows];
-    for (Index r = 0; r < nr; ++r) rows[r] = a.row(i0 + r).data();
+    const double* rows[simd::kMaxRows];
+    for (Index r = 0; r < nr; ++r) {
+      double* w = aw.data() + static_cast<std::size_t>(r) * ud;
+      simd::widen(a.row(i0 + r).data(), d, w);
+      rows[r] = w;
+    }
     float s[simd::kMaxRows];
     for (Index j = 0; j < n; ++j) {
       ops.dotn(rows, nr, b.row(j).data(), d, s);

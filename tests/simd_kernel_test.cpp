@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -73,6 +76,7 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable) {
   EXPECT_NE(s.axpy, nullptr);
   EXPECT_NE(s.axpyn, nullptr);
   EXPECT_NE(s.scale_inplace, nullptr);
+  EXPECT_NE(s.exp_accumulate, nullptr);
 }
 
 TEST(SimdDispatch, ActiveLevelNameMatchesLevel) {
@@ -111,23 +115,28 @@ TEST(SimdPrimitives, DotMatchesScalarAcrossSizes) {
 }
 
 TEST(SimdPrimitives, DotnMatchesPerRowDots) {
-  const simd::Ops& s = simd::scalar_ops();
-  const simd::Ops& v = simd::dispatched_ops();
-  for (Index n : kSizes) {
-    std::vector<std::vector<float>> qs;
-    const float* qp[simd::kMaxRows];
-    for (Index r = 0; r < simd::kMaxRows; ++r) {
-      qs.push_back(random_vec(n, 300 + static_cast<std::uint64_t>(10 * n + r)));
-      qp[r] = qs.back().data();
-    }
-    const auto k = random_vec(n, 400 + static_cast<std::uint64_t>(n));
-    for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
-      float got[simd::kMaxRows];
-      v.dotn(qp, rows, k.data(), n, got);
-      for (Index r = 0; r < rows; ++r) {
-        const float want = s.dot(qp[r], k.data(), n);
-        EXPECT_NEAR(got[r], want, kTol * std::max(1.0f, std::fabs(want)))
-            << "n=" << n << " rows=" << rows << " r=" << r;
+  // dotn on widened rows must equal the same table's dot on the float rows
+  // exactly: widening is exact and each row's FMA chain is dot's. This is
+  // what keeps Stage-1 scores, and so SampleAttention's masks, unchanged.
+  for (const simd::Ops* t : {&simd::scalar_ops(), &simd::dispatched_ops()}) {
+    for (Index n : kSizes) {
+      std::vector<std::vector<float>> qs;
+      std::vector<std::vector<double>> qw;
+      const double* qp[simd::kMaxRows];
+      for (Index r = 0; r < simd::kMaxRows; ++r) {
+        qs.push_back(random_vec(n, 300 + static_cast<std::uint64_t>(10 * n + r)));
+        qw.emplace_back(static_cast<std::size_t>(n));
+        simd::widen(qs.back().data(), n, qw.back().data());
+        qp[r] = qw.back().data();
+      }
+      const auto k = random_vec(n, 400 + static_cast<std::uint64_t>(n));
+      for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
+        float got[simd::kMaxRows];
+        t->dotn(qp, rows, k.data(), n, got);
+        for (Index r = 0; r < rows; ++r) {
+          EXPECT_EQ(got[r], t->dot(qs[static_cast<std::size_t>(r)].data(), k.data(), n))
+              << t->name << " n=" << n << " rows=" << rows << " r=" << r;
+        }
       }
     }
   }
@@ -188,6 +197,55 @@ TEST(SimdPrimitives, ScaleInplaceMatchesScalar) {
     v.scale_inplace(got.data(), n, 0.8125f);
     for (Index t = 0; t < n; ++t) {
       EXPECT_NEAR(got[static_cast<std::size_t>(t)], want[static_cast<std::size_t>(t)], kTol);
+    }
+  }
+}
+
+TEST(SimdPrimitives, ExpAccumulateMatchesStdExp) {
+  // Scalar vs dispatched exp pass over exactly sized buffers (ASan catches
+  // any read past n), inputs in [-90, 0] plus -inf. The scalar table is
+  // std::exp itself; the dispatched one must stay within kExpUlpBound ulp
+  // of it on normal results and flush the rest to zero (absolute error
+  // below FLT_MIN), map -inf to exactly 0, and keep the running normalizer
+  // within 1e-6 relative.
+  const simd::Ops& s = simd::scalar_ops();
+  const simd::Ops& v = simd::dispatched_ops();
+  const auto ulp_distance = [](float a, float b) {
+    std::int32_t ia = 0, ib = 0;
+    std::memcpy(&ia, &a, sizeof ia);
+    std::memcpy(&ib, &b, sizeof ib);
+    return std::abs(static_cast<std::int64_t>(ia) - static_cast<std::int64_t>(ib));
+  };
+  std::vector<Index> sizes;
+  for (Index n = 0; n <= 67; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), std::begin(kSizes), std::end(kSizes));
+  for (const float m : {0.0f, 1.5f}) {
+    for (Index n : sizes) {
+      Rng rng(1100 + static_cast<std::uint64_t>(n));
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = i % 7 == 3 ? -std::numeric_limits<float>::infinity()
+                          : static_cast<float>(-90.0 * rng.uniform());
+      }
+      auto want = x;
+      auto got = x;
+      double l_want = 0.5, l_got = 0.5;
+      s.exp_accumulate(want.data(), n, m, &l_want);
+      v.exp_accumulate(got.data(), n, m, &l_got);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const float ref = std::exp(x[i] - m);
+        EXPECT_EQ(want[i], ref) << "scalar table is std::exp, n=" << n << " i=" << i;
+        if (x[i] == -std::numeric_limits<float>::infinity()) {
+          EXPECT_EQ(got[i], 0.0f) << "n=" << n << " i=" << i;
+        } else if (ref < std::numeric_limits<float>::min()) {
+          EXPECT_LT(std::fabs(got[i] - ref), std::numeric_limits<float>::min())
+              << "x=" << x[i] << " m=" << m;
+        } else {
+          EXPECT_LE(ulp_distance(got[i], ref), simd::kExpUlpBound)
+              << "x=" << x[i] << " m=" << m << " got=" << got[i] << " want=" << ref;
+        }
+      }
+      EXPECT_NEAR(l_got, l_want, 1e-6 * l_want) << "n=" << n << " m=" << m;
     }
   }
 }

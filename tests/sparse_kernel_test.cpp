@@ -4,8 +4,10 @@
 // counting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "attention/full_attention.h"
 #include "attention/sparse_flash_attention.h"
@@ -219,6 +221,71 @@ TEST_P(SparseKernelProperty, AgreesWithMaskedReference) {
   const Matrix dense = mask.to_dense();
   double cells = 0.0;
   for (float v : dense.flat()) cells += v;
+  EXPECT_EQ(obs::ResourceAccountant::global().kernel_total("sparse_flash").flops,
+            4.0 * static_cast<double>(d) * cells)
+      << "seed=" << seed;
+}
+
+// Fragmented stripes, the shape of the heaviest traced heads (thousands of
+// 1-3-column stripe runs with 1-2-column gaps): each chunk's shared stripe
+// runs go into one multi-run absorb. Sizes cross the 64-row and 64-key
+// tiles, every third seed is cross-length (sq < sk), and half the seeds add
+// a window and a diagonal band so the runs end at a band floor. The output
+// must match an all-double softmax over to_dense()'s cells, and the
+// accounted FLOPs must equal 4*d times those cells.
+TEST_P(SparseKernelProperty, FragmentedStripesMatchDenseReference) {
+  const int seed = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 7);
+  const Index s = 63 + 31 * (seed % 6) + static_cast<Index>(rng.uniform_index(5));
+  const Index sk = seed % 3 == 2 ? s + 1 + static_cast<Index>(rng.uniform_index(70)) : s;
+  const Index d = 8;
+  AttentionInput in = random_input(s, sk, d, static_cast<std::uint64_t>(seed) + 5000);
+  StructuredMask mask(s, sk);
+  std::vector<Index> cols;
+  for (Index j = static_cast<Index>(rng.uniform_index(3)); j < sk;) {
+    const Index width = 1 + static_cast<Index>(rng.uniform_index(3));
+    for (Index t = j; t < std::min(sk, j + width); ++t) cols.push_back(t);
+    j += width + 1 + static_cast<Index>(rng.uniform_index(2));
+  }
+  mask.set_stripe_columns(cols);
+  if (seed % 2 == 1) {
+    mask.set_window(1 + static_cast<Index>(rng.uniform_index(12)));
+    mask.add_diagonal_band({20 + static_cast<Index>(rng.uniform_index(s / 2)),
+                            1 + static_cast<Index>(rng.uniform_index(4))});
+  }
+  Matrix out;
+  sparse_flash_attention(in, mask, out);
+
+  const Matrix dense = mask.to_dense();
+  const double scale = 1.0 / std::sqrt(static_cast<double>(d));
+  double cells = 0.0;
+  for (Index i = 0; i < s; ++i) {
+    std::vector<double> logits;
+    std::vector<Index> keys;
+    for (Index j = 0; j < sk; ++j) {
+      if (dense(i, j) == 0.0f) continue;
+      double dot = 0.0;
+      for (Index t = 0; t < d; ++t) {
+        dot += static_cast<double>(in.q(i, t)) * static_cast<double>(in.k(j, t));
+      }
+      logits.push_back(scale * dot);
+      keys.push_back(j);
+    }
+    cells += static_cast<double>(keys.size());
+    double mx = -std::numeric_limits<double>::infinity();
+    for (double x : logits) mx = std::max(mx, x);
+    double denom = 0.0;
+    std::vector<double> ref(static_cast<std::size_t>(d), 0.0);
+    for (std::size_t c = 0; c < keys.size(); ++c) {
+      const double w = std::exp(logits[c] - mx);
+      denom += w;
+      for (Index t = 0; t < d; ++t) ref[static_cast<std::size_t>(t)] += w * in.v(keys[c], t);
+    }
+    for (Index t = 0; t < d; ++t) {
+      const double want = keys.empty() ? 0.0 : ref[static_cast<std::size_t>(t)] / denom;
+      ASSERT_NEAR(out(i, t), want, 1e-5) << "seed=" << seed << " row " << i << " dim " << t;
+    }
+  }
   EXPECT_EQ(obs::ResourceAccountant::global().kernel_total("sparse_flash").flops,
             4.0 * static_cast<double>(d) * cells)
       << "seed=" << seed;
