@@ -16,6 +16,8 @@
 #include "baselines/streaming_llm.h"
 #include "model/workload.h"
 #include "runtime/batch.h"
+#include "runtime/decode.h"
+#include "runtime/kv_cache.h"
 #include "sample_attention/sample_attention.h"
 
 namespace sattn {
@@ -231,12 +233,40 @@ void BM_SimdCompareSampleEndToEnd(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, false)->Arg(2048);
 BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, true)->Arg(2048);
 
+// One decode step over a paged cache of `s` slots (runtime/decode.h): a
+// single query row through the micro-kernel, the shape of a long-context
+// request's decode phase. Items are the step's (query, key) pairs, s.
+template <bool kForceScalar>
+void BM_SimdCompareDecode(benchmark::State& state) {
+  const Index s = state.range(0);
+  const AttentionInput in = bench_input(s);
+  KVCache cache(in.head_dim());
+  if (!cache.append_prefill(in).ok()) {
+    state.SkipWithError("append_prefill failed");
+    return;
+  }
+  std::optional<simd::ScopedForceScalar> guard;
+  if (kForceScalar) guard.emplace();
+  state.SetLabel(simd::active_level_name());
+  std::vector<float> out(static_cast<std::size_t>(in.head_dim()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode_attention(in.q.row(s - 1), cache, out).ok());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * s);
+}
+BENCHMARK_TEMPLATE(BM_SimdCompareDecode, false)->Arg(16384);
+BENCHMARK_TEMPLATE(BM_SimdCompareDecode, true)->Arg(16384);
+
 // ---------------------------------------------------------------------------
 // Ragged-batch sweep vs a per-request kernel loop (docs/PERFORMANCE.md
 // "Batched kernels"). Same total work — `batch` sequences of 1K tokens —
 // but the per-request loop parallelizes inside one sequence at a time
 // (q-tile granularity) while the ragged sweep runs whole sequences
 // concurrently, which is how the serving engine amortizes a live batch.
+// Both sides run on the pool, so items/s is taken over wall time
+// (UseRealTime): the calling thread's CPU time misses the workers' work.
 
 void BM_PerRequestLoopDense(benchmark::State& state) {
   const Index batch = state.range(0);
@@ -250,7 +280,7 @@ void BM_PerRequestLoopDense(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * 1024 * 1024 / 2);
 }
-BENCHMARK(BM_PerRequestLoopDense)->Arg(2)->Arg(8);
+BENCHMARK(BM_PerRequestLoopDense)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_RaggedBatchDense(benchmark::State& state) {
   const Index batch = state.range(0);
@@ -278,7 +308,7 @@ void BM_RaggedBatchDense(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * 1024 * 1024 / 2);
 }
-BENCHMARK(BM_RaggedBatchDense)->Arg(2)->Arg(8);
+BENCHMARK(BM_RaggedBatchDense)->Arg(2)->Arg(8)->UseRealTime();
 
 // Decode-heavy step: one fresh token against a 4K KV prefix per sequence —
 // the regime where per-request dispatch overhead dominates and batching
@@ -297,7 +327,7 @@ void BM_PerRequestLoopDecode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * s);
 }
-BENCHMARK(BM_PerRequestLoopDecode)->Arg(8)->Arg(32);
+BENCHMARK(BM_PerRequestLoopDecode)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_RaggedBatchDecode(benchmark::State& state) {
   const Index batch = state.range(0), s = 4096;
@@ -322,7 +352,7 @@ void BM_RaggedBatchDecode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * s);
 }
-BENCHMARK(BM_RaggedBatchDecode)->Arg(8)->Arg(32);
+BENCHMARK(BM_RaggedBatchDecode)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_BigBird(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));

@@ -69,6 +69,9 @@ for mode in 1 0; do
   # hold on both backends — the audit's ground-truth score rows go through
   # the same dispatched kernels.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/audit_test" --gtest_filter='-*Overhead*'
+  # Decode runs flash_rows over the cache's paged view, i.e. the dispatched
+  # micro-kernel, and must stay bit-identical to it on flat storage.
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/runtime_test" --gtest_filter='Decode.*:ChunkedPrefill.*'
 done
 
 echo "sanitizer suite passed: simd backends (SATTN_FORCE_SCALAR=1 and dispatch)"

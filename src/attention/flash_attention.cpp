@@ -38,7 +38,8 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
       const Index kt_hi = std::min(tile_k_max + 1, k_lo + cfg.tile_k);
       const ColumnRun run{k_lo, kt_hi};
       // Register-blocked inner loop: groups of mk::kQRows query rows share
-      // each K/V row of the tile (one dotn/axpyn per key for the group).
+      // each K/V row of the tile (one dotn per key and one key-list axpyn
+      // per tile for the group).
       for (Index r0 = t_lo; r0 < t_hi; r0 += mk::kQRows) {
         mk::QBlock b;
         b.d = d;

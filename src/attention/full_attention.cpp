@@ -36,8 +36,8 @@ void full_attention(const AttentionInput& in, Matrix& out) {
   std::atomic<double> evals_total{0.0};
   // Register-blocked over groups of mk::kQRows query rows: the logits pass
   // shares each K row across the group (mk::logits_rows) and the PV pass
-  // shares each V row (simd::axpyn). Row i's causal prefix is i + sk - sq,
-  // so within a group the prefixes ascend with r.
+  // shares each V row (key-list simd::axpyn). Row i's causal prefix is
+  // i + sk - sq, so within a group the prefixes ascend with r.
   const Index n_groups = (sq + mk::kQRows - 1) / mk::kQRows;
   parallel_for(n_groups, [&](Index g) {
     const simd::Ops& ops = simd::ops();
@@ -59,22 +59,35 @@ void full_attention(const AttentionInput& in, Matrix& out) {
     }
     // PV: for key j, accumulate w[r] * v_j into every row whose causal
     // prefix reaches j (rows r0..nr-1 where r0 is the first row with
-    // lim >= j; prefixes ascend with r, so that set is a suffix).
+    // lim >= j; prefixes ascend with r, so that set is a suffix). Keys
+    // sharing a suffix go through key-list axpyn calls of up to
+    // mk::kVBatch V rows, weights read in place from the logits rows
+    // (stride sk); a key whose weights are all zero is skipped and ends
+    // the batch, so every element's FMA chain is the per-key loop's.
     float* orows[mk::kQRows];
     for (Index r = 0; r < nr; ++r) orows[r] = out.row(i0 + r).data();
-    float w[mk::kQRows];
+    const float* vrows[mk::kVBatch];
     Index j = 0;
     for (Index r0 = 0; r0 < nr; ++r0) {
       const Index lim = causal_limit(i0 + r0, sq, sk);
       const Index nact = nr - r0;
+      Index keys = 0, j0 = j;
+      const auto flush = [&] {
+        if (keys > 0) ops.axpyn(rows[r0] + j0, sk, nact, vrows, keys, orows + r0, d);
+        keys = 0;
+      };
       for (; j <= lim; ++j) {
         bool any = false;
-        for (Index t = 0; t < nact; ++t) {
-          w[t] = rows[r0 + t][j];
-          any |= (w[t] != 0.0f);
+        for (Index t = 0; t < nact; ++t) any |= (rows[r0 + t][j] != 0.0f);
+        if (!any) {
+          flush();
+          continue;
         }
-        if (any) ops.axpyn(w, nact, in.v.row(j).data(), orows + r0, d);
+        if (keys == 0) j0 = j;
+        vrows[keys++] = in.v.row(j).data();
+        if (keys == mk::kVBatch) flush();
       }
+      flush();
     }
     evals_total.fetch_add(group_evals, std::memory_order_relaxed);
   });

@@ -8,6 +8,47 @@
 namespace sattn {
 namespace {
 
+// Visits every key of runs[0..n-1) and of [runs.back().lo, last_hi) in
+// order as fn(row, col): row is the key's K or V row (per `v`), col its
+// position in the concatenation. Row pointers are resolved once per
+// contiguous KvView run and then marched by d.
+template <typename Fn>
+void for_each_key(const mk::KvView& kv, std::span<const ColumnRun> runs, Index last_hi, bool v,
+                  Fn&& fn) {
+  std::size_t col = 0;
+  for (std::size_t p = 0; p < runs.size(); ++p) {
+    const Index hi = p + 1 == runs.size() ? last_hi : runs[p].hi;
+    for (Index j = runs[p].lo; j < hi;) {
+      const Index re = kv.run_end(j, hi);
+      const float* row = v ? kv.v_row(j) : kv.k_row(j);
+      for (; j < re; ++j, row += kv.d, ++col) fn(row, col);
+    }
+  }
+}
+
+// The V pass of a key list: acc[r] += w[r * w_stride + col] * V[key] for
+// every key of for_each_key(runs, last_hi) in order. V row pointers are
+// collected into an on-stack batch and each batch is one key-list axpyn,
+// which keeps every accumulator slice in registers across the batch; the
+// per-element FMA order is the per-key loop's, so results match it bit
+// for bit. Flat, paged and fragmented key lists all take this path.
+void accumulate_values(const simd::Ops& ops, const mk::KvView& kv,
+                       std::span<const ColumnRun> runs, Index last_hi, const float* w,
+                       Index w_stride, Index rows, float* const* acc) {
+  const float* vrows[mk::kVBatch];
+  Index keys = 0;
+  const float* wb = w;
+  for_each_key(kv, runs, last_hi, /*v=*/true, [&](const float* vrow, std::size_t) {
+    vrows[keys++] = vrow;
+    if (keys == mk::kVBatch) {
+      ops.axpyn(wb, w_stride, rows, vrows, keys, acc, kv.d);
+      wb += keys;
+      keys = 0;
+    }
+  });
+  if (keys > 0) ops.axpyn(wb, w_stride, rows, vrows, keys, acc, kv.d);
+}
+
 // Single-row run absorb over raw state: two passes (score + max, then
 // weight + accumulate) with one rescale for the whole run. The ragged
 // tails of the blocked absorb bottom out here. Kept out of line: with
@@ -39,31 +80,8 @@ namespace {
     m = run_max;
   }
   ops.exp_accumulate(logits.data(), hi - lo, m, &l);
-  for (Index j = lo; j < hi;) {
-    const Index re = kv.run_end(j, hi);
-    const float* vrow = kv.v_row(j);
-    for (; j < re; ++j, vrow += d) {
-      ops.axpy(logits[static_cast<std::size_t>(j - lo)], vrow, acc, d);
-    }
-  }
-}
-
-// Visits every key of runs[0..n-1) and of [runs.back().lo, last_hi) in
-// order as fn(row, col): row is the key's K or V row (per `v`), col its
-// position in the concatenation. Row pointers are resolved once per
-// contiguous KvView run and then marched by d.
-template <typename Fn>
-void for_each_key(const mk::KvView& kv, std::span<const ColumnRun> runs, Index last_hi, bool v,
-                  Fn&& fn) {
-  std::size_t col = 0;
-  for (std::size_t p = 0; p < runs.size(); ++p) {
-    const Index hi = p + 1 == runs.size() ? last_hi : runs[p].hi;
-    for (Index j = runs[p].lo; j < hi;) {
-      const Index re = kv.run_end(j, hi);
-      const float* row = v ? kv.v_row(j) : kv.k_row(j);
-      for (; j < re; ++j, row += kv.d, ++col) fn(row, col);
-    }
-  }
+  const ColumnRun run{lo, hi};
+  accumulate_values(ops, kv, {&run, 1}, hi, logits.data(), /*w_stride=*/0, /*rows=*/1, &acc);
 }
 
 }  // namespace
@@ -142,11 +160,7 @@ void absorb_key_tile(const QBlock& b, const KvView& kv, float scale,
       }
       ops.exp_accumulate(lg + static_cast<std::size_t>(r) * stride, shared, *b.m[r], b.l[r]);
     }
-    for_each_key(kv, runs, shared_hi, /*v=*/true, [&](const float* vrow, std::size_t col) {
-      float w[kQRows];
-      for (Index r = 0; r < rows; ++r) w[r] = lg[static_cast<std::size_t>(r) * stride + col];
-      ops.axpyn(w, rows, vrow, b.acc, d);
-    });
+    accumulate_values(ops, kv, runs, shared_hi, lg, shared, rows, b.acc);
   }
 
   // Ragged tails: rows whose limit extends past the shared part of the last

@@ -17,8 +17,10 @@
 //   * mk::QBlock / mk::absorb_key_tile — the register-blocked core: up to
 //     mk::kQRows query rows, widened to double once by the caller, advance
 //     through one K/V stream together, so each K row is scored with one
-//     simd::dotn (K lanes loaded once for all rows) and each V row
-//     accumulated with one simd::axpyn. One call absorbs a list of
+//     simd::dotn (K lanes loaded once for all rows), and the V pass
+//     gathers the list's V rows into on-stack batches of 64 and
+//     accumulates each batch with one key-list simd::axpyn (accumulator
+//     slices stay in registers across the batch). One call absorbs a list of
 //     disjoint key runs (a chunk's stripe runs, or one tile) with a single
 //     max, rescale and simd::exp_accumulate pass per row. Rows may have
 //     ragged limits in the last run; the shared keys are blocked and the
@@ -118,9 +120,16 @@ struct KvView {
 };
 
 // Query rows processed per register block. Matches simd::kMaxRows: the
-// AVX2 dotn/axpyn keep one pair of double accumulators per row in ymm
-// registers, and four rows is the deepest block that still fits.
+// AVX2 dotn keeps one pair of double accumulators per row in ymm registers
+// and axpyn 8 ymm of float accumulator slices (16 columns per row at four
+// rows), and four rows is the deepest block that still fits.
 inline constexpr Index kQRows = simd::kMaxRows;
+
+// V rows gathered per key-list simd::axpyn call in the V passes (an
+// on-stack batch of row pointers): FlashConfig{}.tile_k, so a dense tile
+// is one call; longer key lists (a chunk's stripe runs, larger tiles, a
+// full_attention prefix) take several.
+inline constexpr Index kVBatch = 64;
 
 // A view over up to kQRows query rows' online-softmax state. The pointers
 // alias caller-owned storage (flash_attention's per-tile m/l/acc arrays, or

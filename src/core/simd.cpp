@@ -32,8 +32,11 @@ void axpy_scalar(float a, const float* x, float* y, Index n) {
   for (Index i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void axpyn_scalar(const float* w, Index rows, const float* v, float* const* acc, Index n) {
-  for (Index r = 0; r < rows; ++r) axpy_scalar(w[r], v, acc[r], n);
+void axpyn_scalar(const float* w, Index w_stride, Index rows, const float* const* v, Index keys,
+                  float* const* acc, Index n) {
+  for (Index j = 0; j < keys; ++j) {
+    for (Index r = 0; r < rows; ++r) axpy_scalar(w[r * w_stride + j], v[j], acc[r], n);
+  }
 }
 
 void scale_scalar(float* x, Index n, float s) {

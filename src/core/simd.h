@@ -3,8 +3,9 @@
 // Every hot inner loop in the library funnels through the small primitive
 // set below: dot products (accumulated in double, matching the numeric
 // contract of core/tensor.cpp), multi-row dots of pre-widened query rows
-// that share one key stream, axpy accumulates, multi-row axpy that shares
-// one value stream, an in-place rescale, and the online-softmax exp pass.
+// that share one key stream, axpy accumulates, a multi-row axpy over a
+// whole list of value rows, an in-place rescale, and the online-softmax
+// exp pass.
 // Each primitive has a portable scalar implementation and, on x86 hosts
 // whose compiler and CPU both support it, an AVX2/FMA implementation
 // (src/core/simd_avx2.cpp, compiled with -mavx2 -mfma and only ever called
@@ -23,8 +24,10 @@
 // the softmax weights), so SATTN_FORCE_SCALAR=1 recovers the original
 // kernel numerics exactly and the parity suite (tests/simd_kernel_test.cpp)
 // can compare the two tables in one process. Within either table, dotn on
-// rows widened by simd::widen is bit-identical to dot on the float rows:
-// widening is exact and the FMA chains are the same.
+// rows widened by simd::widen is bit-identical to dot on the float rows
+// (widening is exact and the FMA chains are the same), and the key-list
+// axpyn is bit-identical to a per-key loop of axpy (every element gets its
+// FMAs in the same ascending-key order).
 #pragma once
 
 #include <atomic>
@@ -57,9 +60,15 @@ struct Ops {
   // y[i] += a * x[i].
   void (*axpy)(float a, const float* x, float* y, Index n);
 
-  // acc[r][i] += w[r] * v[i] for r in [0, rows); the shared v stream is
-  // loaded once for all rows.
-  void (*axpyn)(const float* w, Index rows, const float* v, float* const* acc, Index n);
+  // acc[r][i] += sum_j w[r * w_stride + j] * v[j][i] for r in [0, rows)
+  // and j ascending in [0, keys): the V pass of a whole key list in one
+  // call (keys = 1 is the one-key form). Each v[j] row is loaded once for
+  // all rows, and the AVX2 body holds a column slice of every row's
+  // accumulator in registers across all keys (16 columns per row at four
+  // rows, up to 64 at one), so acc is loaded and stored once per call
+  // instead of once per key.
+  void (*axpyn)(const float* w, Index w_stride, Index rows, const float* const* v, Index keys,
+                float* const* acc, Index n);
 
   // x[i] *= s (the online-softmax rescale step).
   void (*scale_inplace)(float* x, Index n, float s);
@@ -131,8 +140,9 @@ inline void dotn(const double* const* q, Index rows, const float* k, Index n, fl
   ops().dotn(q, rows, k, n, out);
 }
 inline void axpy(float a, const float* x, float* y, Index n) { ops().axpy(a, x, y, n); }
-inline void axpyn(const float* w, Index rows, const float* v, float* const* acc, Index n) {
-  ops().axpyn(w, rows, v, acc, n);
+inline void axpyn(const float* w, Index w_stride, Index rows, const float* const* v, Index keys,
+                  float* const* acc, Index n) {
+  ops().axpyn(w, w_stride, rows, v, keys, acc, n);
 }
 inline void scale_inplace(float* x, Index n, float s) { ops().scale_inplace(x, n, s); }
 inline void exp_accumulate(float* x, Index n, float m, double* l) {

@@ -12,7 +12,8 @@
 // bit-for-bit. dotn takes query rows the caller already widened to double,
 // so only the shared key lanes are converted inside the loop, and each
 // row's FMA chain is exactly dot's. axpy/axpyn/scale stay in float, like
-// the scalar loops. exp_accumulate uses a polynomial exp (see exp_ps).
+// the scalar loops, and axpyn keeps each element's per-key FMA order.
+// exp_accumulate uses a polynomial exp (see exp_ps).
 // Remainder elements (n % 8) are handled by scalar tails or a padded local
 // copy; no vector load ever touches memory past `n` elements, which keeps
 // ASan clean on exactly sized buffers.
@@ -102,31 +103,66 @@ void axpy_avx2(float a, const float* x, float* y, Index n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-// R accumulator rows fed from one shared value stream.
-template <int R>
-void axpyr_avx2(const float* w, const float* v, float* const* acc, Index n) {
-  __m256 wv[R];
-  for (int r = 0; r < R; ++r) wv[r] = _mm256_set1_ps(w[r]);
-  Index i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vv = _mm256_loadu_ps(v + i);
-    for (int r = 0; r < R; ++r) {
-      _mm256_storeu_ps(acc[r] + i, _mm256_fmadd_ps(wv[r], vv, _mm256_loadu_ps(acc[r] + i)));
+// One column slice of the key-list axpy: S ymm (8*S columns) of each of R
+// accumulator rows starting at column i are loaded once, receive every
+// key's FMAs in ascending key order (the chain a per-key axpy loop builds,
+// so results are bit-identical to it), and are stored once. Forced inline:
+// compiled out of line (GCC 12), the multi-row slices kept `a` in stack
+// memory and stored all of it on every key, which made the loop store-bound.
+template <int R, int S>
+[[gnu::always_inline]] inline void axpy_slice(const float* w, Index w_stride,
+                                              const float* const* v, Index keys,
+                                              float* const* acc, Index i) {
+  __m256 a[R][S];
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < S; ++t) a[r][t] = _mm256_loadu_ps(acc[r] + i + 8 * t);
+  }
+  for (Index j = 0; j < keys; ++j) {
+    __m256 wv[R];
+    for (int r = 0; r < R; ++r) wv[r] = _mm256_broadcast_ss(w + r * w_stride + j);
+    for (int t = 0; t < S; ++t) {
+      const __m256 vv = _mm256_loadu_ps(v[j] + i + 8 * t);
+      for (int r = 0; r < R; ++r) a[r][t] = _mm256_fmadd_ps(wv[r], vv, a[r][t]);
     }
   }
-  for (; i < n; ++i) {
-    for (int r = 0; r < R; ++r) acc[r][i] += w[r] * v[i];
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < S; ++t) _mm256_storeu_ps(acc[r] + i + 8 * t, a[r][t]);
   }
 }
 
-void axpyn_avx2(const float* w, Index rows, const float* v, float* const* acc, Index n) {
+// R accumulator rows fed from a list of value rows, column-outer: slices of
+// S ymm per row stay in registers across all keys, then the leftover
+// columns go through halved slices down to 8 columns, then a scalar tail.
+// Each key's FMA into a slice depends on the previous key's, so the slice
+// width sets the independent chains: S = 8 / R (S = 2 for R = 3) keeps
+// about 8 accumulators in flight — 64 columns for one row, 16 for four —
+// which covers the FMA latency for every row count.
+template <int R, int S = 8 / R>
+void axpyr_avx2(const float* w, Index w_stride, const float* const* v, Index keys,
+                float* const* acc, Index n, Index i = 0) {
+  for (; i + 8 * S <= n; i += 8 * S) axpy_slice<R, S>(w, w_stride, v, keys, acc, i);
+  if constexpr (S > 1) {
+    axpyr_avx2<R, S / 2>(w, w_stride, v, keys, acc, n, i);
+  } else {
+    for (; i < n; ++i) {
+      for (Index j = 0; j < keys; ++j) {
+        for (int r = 0; r < R; ++r) acc[r][i] += w[r * w_stride + j] * v[j][i];
+      }
+    }
+  }
+}
+
+void axpyn_avx2(const float* w, Index w_stride, Index rows, const float* const* v, Index keys,
+                float* const* acc, Index n) {
   switch (rows) {
-    case 1: axpyr_avx2<1>(w, v, acc, n); return;
-    case 2: axpyr_avx2<2>(w, v, acc, n); return;
-    case 3: axpyr_avx2<3>(w, v, acc, n); return;
-    case 4: axpyr_avx2<4>(w, v, acc, n); return;
+    case 1: axpyr_avx2<1>(w, w_stride, v, keys, acc, n); return;
+    case 2: axpyr_avx2<2>(w, w_stride, v, keys, acc, n); return;
+    case 3: axpyr_avx2<3>(w, w_stride, v, keys, acc, n); return;
+    case 4: axpyr_avx2<4>(w, w_stride, v, keys, acc, n); return;
     default:
-      for (Index r = 0; r < rows; ++r) axpy_avx2(w[r], v, acc[r], n);
+      for (Index r = 0; r < rows; ++r) {
+        axpyr_avx2<1>(w + r * w_stride, w_stride, v, keys, acc + r, n);
+      }
       return;
   }
 }

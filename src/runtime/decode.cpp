@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "attention/flash_attention.h"
 #include "core/numerics.h"
 #include "obs/accounting.h"
 #include "obs/trace.h"
@@ -21,21 +22,23 @@ Status decode_attention(std::span<const float> q_row, const KVCache& cache,
   SATTN_CHECK(all_finite(q_row), kDataCorruption, "non-finite value in decode query row");
   SATTN_COUNTER_ADD("runtime.decode_tokens", 1);
   SATTN_COUNTER_ADD("kv_cache.rows_read", cache.size());
-  std::fill(out_row.begin(), out_row.end(), 0.0f);
   const Index n = cache.size();
   if (n == 0) {
+    std::fill(out_row.begin(), out_row.end(), 0.0f);
     if (weights != nullptr) weights->clear();
     return Status::Ok();
   }
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  std::vector<float> logits(static_cast<std::size_t>(n));
-  for (Index s = 0; s < n; ++s) logits[static_cast<std::size_t>(s)] = scale * dot(q_row, cache.k(s));
-  softmax_inplace(logits);
-  for (Index s = 0; s < n; ++s) {
-    const float p = logits[static_cast<std::size_t>(s)];
-    if (p != 0.0f) axpy(p, cache.v(s), out_row);
+  // The output runs through the tiled micro-kernel straight off the page
+  // table: the one query row sees every slot (causal_off = n - 1).
+  flash_rows(q_row.data(), 1, cache.view(), n, n - 1, out_row.data(), d);
+  if (weights != nullptr) {
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    weights->resize(static_cast<std::size_t>(n));
+    for (Index s = 0; s < n; ++s) {
+      (*weights)[static_cast<std::size_t>(s)] = scale * dot(q_row, cache.k(s));
+    }
+    softmax_inplace(*weights);
   }
-  if (weights != nullptr) *weights = std::move(logits);
   // One decode step is a 1 x n attention row over the cache.
   obs::charge_attention_kernel("decode", /*sq=*/1, /*sk=*/n, d, static_cast<double>(n));
   return Status::Ok();

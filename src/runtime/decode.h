@@ -2,7 +2,11 @@
 //
 // The paper leaves decode untouched (uncompressed cache, exact attention);
 // these helpers provide that exact path plus the per-slot softmax weights
-// that score-based eviction policies (H2O) need to observe.
+// that score-based eviction policies (H2O) need to observe. The output goes
+// through the same register-blocked micro-kernel as prefill (flash_rows
+// over the cache's paged view), so it is bit-identical to flash_rows on a
+// flat copy of the cache; the weights, when asked for, are a separate
+// scoring pass plus softmax_inplace.
 #pragma once
 
 #include <span>

@@ -2,6 +2,7 @@
 // policies, chunked prefill, and the model-level prefill runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "attention/flash_attention.h"
@@ -144,6 +145,47 @@ TEST(Decode, EmptyCacheYieldsZeros) {
   std::vector<float> q = {1, 2, 3, 4}, out(4, 9.0f);
   ASSERT_TRUE(decode_attention(q, cache, out).ok());
   for (float x : out) EXPECT_FLOAT_EQ(x, 0.0f);
+}
+
+// decode_attention runs flash_rows over the cache's paged view, so it must
+// equal flash_rows on flat K/V bit for bit: at 64k +- 1 slots (one key past
+// or short of a tile, a V batch and a 64-token page) and again after H2O
+// compaction rewrites the survivors into fresh pages. d = 21 covers the
+// 16-column slice plus the scalar column tail, d = 128 the bench head dim.
+TEST(Decode, MatchesFlashRowsBitExact) {
+  const auto expect_matches_flat = [](std::span<const float> q, const KVCache& cache,
+                                      const AttentionInput& flat) {
+    const Index n = cache.size(), d = cache.head_dim();
+    std::vector<float> got(static_cast<std::size_t>(d)), want(got.size());
+    ASSERT_TRUE(decode_attention(q, cache, got).ok());
+    flash_rows(q.data(), 1, mk::KvView::of(flat), n, n - 1, want.data(), d);
+    EXPECT_EQ(got, want) << "n=" << n << " d=" << d;
+  };
+  for (const Index d : {21, 128}) {
+    for (const Index n : {63, 64, 65, 127, 128, 129}) {
+      const AttentionInput in = random_input(n, d, 40 + static_cast<std::uint64_t>(n + d));
+      KVCache cache(d);
+      ASSERT_TRUE(cache.append_prefill(in).ok());
+      expect_matches_flat(in.q.row(n - 1), cache, in);
+
+      // Observe real weights, compact, and compare against a flat copy of
+      // the surviving rows.
+      std::vector<float> out(static_cast<std::size_t>(d)), weights;
+      ASSERT_TRUE(decode_attention(in.q.row(n - 1), cache, out, &weights).ok());
+      H2OPolicy policy(/*budget=*/n / 2, /*recent=*/8);
+      policy.observe(cache, weights);
+      ASSERT_TRUE(policy.enforce(cache));
+      AttentionInput kept;
+      kept.q.resize(1, d);
+      kept.k.resize(cache.size(), d);
+      kept.v.resize(cache.size(), d);
+      for (Index s = 0; s < cache.size(); ++s) {
+        std::copy(cache.k(s).begin(), cache.k(s).end(), kept.k.row(s).begin());
+        std::copy(cache.v(s).begin(), cache.v(s).end(), kept.v.row(s).begin());
+      }
+      expect_matches_flat(in.q.row(n - 1), cache, kept);
+    }
+  }
 }
 
 TEST(H2O, KeepsHeavyHittersAndRecent) {

@@ -10,12 +10,14 @@
 // suite meaningful under sanitizers and on non-x86 builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "attention/block_sparse.h"
@@ -158,29 +160,66 @@ TEST(SimdPrimitives, AxpyMatchesScalarAcrossSizes) {
   }
 }
 
-TEST(SimdPrimitives, AxpynMatchesPerRowAxpy) {
+// The key-list axpyn against a per-key loop of the same table's axpy: every
+// element gets its FMAs in ascending key order either way, so the two are
+// EXPECT_EQ on each table. Key counts straddle the kernels' batch of 64,
+// w_stride > keys, and kSizes hits the 16- and 8-column slices and the
+// scalar tail. Every buffer (each V row, each accumulator row, the weight
+// block) is exactly sized, so ASan flags any over-read. The dispatched
+// table is also checked against the scalar one to tolerance.
+TEST(SimdPrimitives, AxpynMatchesPerKeyAxpy) {
   const simd::Ops& s = simd::scalar_ops();
   const simd::Ops& v = simd::dispatched_ops();
+  const Index kKeys[] = {1, 2, 3, 15, 16, 17, 63, 64, 65};
   for (Index n : kSizes) {
-    const auto x = random_vec(n, 700 + static_cast<std::uint64_t>(n));
-    const float w[simd::kMaxRows] = {0.1f, -1.5f, 0.0f, 2.25f};
-    for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
-      std::vector<std::vector<float>> want, got;
-      float* wp[simd::kMaxRows];
-      float* gp[simd::kMaxRows];
-      for (Index r = 0; r < rows; ++r) {
-        want.push_back(random_vec(n, 800 + static_cast<std::uint64_t>(10 * n + r)));
-        got.push_back(want.back());
+    for (Index keys : kKeys) {
+      std::vector<std::vector<float>> vrows;
+      std::vector<const float*> vp;
+      for (Index j = 0; j < keys; ++j) {
+        vrows.push_back(random_vec(n, 700 + static_cast<std::uint64_t>(1000 * n + j)));
       }
-      for (Index r = 0; r < rows; ++r) {
-        wp[r] = want[static_cast<std::size_t>(r)].data();
-        gp[r] = got[static_cast<std::size_t>(r)].data();
-      }
-      for (Index r = 0; r < rows; ++r) s.axpy(w[r], x.data(), wp[r], n);
-      v.axpyn(w, rows, x.data(), gp, n);
-      for (Index r = 0; r < rows; ++r) {
-        for (Index t = 0; t < n; ++t) {
-          EXPECT_NEAR(gp[r][t], wp[r][t], kTol) << "n=" << n << " rows=" << rows << " r=" << r;
+      for (const auto& row : vrows) vp.push_back(row.data());
+      const Index w_stride = keys + 5;
+      for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
+        const std::vector<float> w =
+            random_vec((rows - 1) * w_stride + keys, 750 + static_cast<std::uint64_t>(keys));
+        // [table][0] = per-key axpy loop, [table][1] = key-list axpyn.
+        std::vector<std::vector<float>> acc[2][2];
+        for (auto& table : acc) {
+          for (auto& form : table) {
+            for (Index r = 0; r < rows; ++r) {
+              form.push_back(random_vec(n, 800 + static_cast<std::uint64_t>(10 * n + r)));
+            }
+          }
+        }
+        const simd::Ops* tables[2] = {&s, &v};
+        for (int t = 0; t < 2; ++t) {
+          float* loop[simd::kMaxRows];
+          float* list[simd::kMaxRows];
+          for (Index r = 0; r < rows; ++r) {
+            loop[r] = acc[t][0][static_cast<std::size_t>(r)].data();
+            list[r] = acc[t][1][static_cast<std::size_t>(r)].data();
+          }
+          for (Index j = 0; j < keys; ++j) {
+            for (Index r = 0; r < rows; ++r) {
+              tables[t]->axpy(w[static_cast<std::size_t>(r * w_stride + j)],
+                              vp[static_cast<std::size_t>(j)], loop[r], n);
+            }
+          }
+          tables[t]->axpyn(w.data(), w_stride, rows, vp.data(), keys, list, n);
+        }
+        for (Index r = 0; r < rows; ++r) {
+          const auto ur = static_cast<std::size_t>(r);
+          for (int t = 0; t < 2; ++t) {
+            EXPECT_EQ(acc[t][1][ur], acc[t][0][ur])
+                << tables[t]->name << " n=" << n << " keys=" << keys << " rows=" << rows
+                << " r=" << r;
+          }
+          for (std::size_t i = 0; i < acc[0][1][ur].size(); ++i) {
+            const float want = acc[0][1][ur][i];
+            EXPECT_NEAR(acc[1][1][ur][i], want, kTol * std::max(1.0f, std::fabs(want)))
+                << "n=" << n << " keys=" << keys << " rows=" << rows << " r=" << r;
+          }
         }
       }
     }
@@ -289,6 +328,31 @@ TEST(SimdKernelParity, FlashAgreesWithFullAtRaggedSizes) {
     flash_attention(in, flash_out);
     full_attention(in, full_out);
     expect_matrices_near(flash_out, full_out, 3e-5f);
+  }
+}
+
+TEST(SimdKernelParity, FlashTileKAcrossValueBatchesAndColumnTails) {
+  // tile_k around and past the micro-kernel's on-stack batch of 64 V rows
+  // (200 takes four key-list axpyn calls per tile), and head dims that hit
+  // the 16- and 8-column slices and the scalar column tail. sk > sq puts a
+  // causal offset in every tile; each backend checks against its own
+  // full_attention.
+  for (Index d : {1, 8, 15, 16, 17, 128}) {
+    const AttentionInput in = random_input(70, 260, d, 3500 + static_cast<std::uint64_t>(d));
+    for (Index tile_k : {1, 63, 64, 65, 200}) {
+      FlashConfig cfg;
+      cfg.tile_k = tile_k;
+      for (const bool scalar : {false, true}) {
+        std::optional<simd::ScopedForceScalar> guard;
+        if (scalar) guard.emplace();
+        Matrix flash_out, full_out;
+        flash_attention(in, flash_out, cfg);
+        full_attention(in, full_out);
+        SCOPED_TRACE(testing::Message() << simd::active_level_name() << " d=" << d
+                                        << " tile_k=" << tile_k);
+        expect_matrices_near(flash_out, full_out, kTol);
+      }
+    }
   }
 }
 
